@@ -57,6 +57,8 @@ def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
         return SyzygyAnswer(0, "uniform-ample-restriction")
     if mk == 1:
         return SyzygyAnswer(1, "uniform-degree-one-restriction")
+    if h.is_zero():
+        return SyzygyAnswer(0, "uniform-zero-class")
     if r == 10:
         return SyzygyAnswer(1, "uniform-ten-point-boundary")
     if r > 10:
@@ -65,8 +67,6 @@ def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     c = h.m[0]
     if c < 0 or h != c * (-canonical_class(9)):
         raise ValueError(f"s_of_nef expects a moving part, got {h}")
-    if c == 0:
-        return SyzygyAnswer(0, "uniform-zero-class")
     spec = context.config.lambda_spec
     if spec is None:
         raise ValueError("uniform cubic rules need the restriction kernel")

@@ -135,13 +135,15 @@ def test_oracle_seed_variation():
 
 
 def test_uniform_cubic_oracle():
-    cfg = PointConfig(
-        curve_kind="cubic_uniform",
-        points=tuple(Point(i) for i in range(1, 13)),
-        lambda_spec=LambdaSpec("trivial"),
-    )
-    rep = oracle_report(FatPointScheme(cfg, (1,) * 12), seed=0, max_degree=7)
-    assert rep.all_agree
+    # ten points reach the boundary case: degree 3m+1 meets a zero moving part
+    for r, m, top in ((12, 1, 7), (10, 1, 7), (10, 2, 8)):
+        cfg = PointConfig(
+            curve_kind="cubic_uniform",
+            points=tuple(Point(i) for i in range(1, r + 1)),
+            lambda_spec=LambdaSpec("trivial"),
+        )
+        rep = oracle_report(FatPointScheme(cfg, (m,) * r), seed=0, max_degree=top)
+        assert rep.all_agree, (r, m)
 
 
 def test_cubic_prime_must_fit_square_roots():

@@ -9,7 +9,7 @@ from fatpoints.configuration import (
     PointConfig,
     proximity_matrix,
 )
-from fatpoints.lattice import ClassVector, nef_basis_class
+from fatpoints.lattice import ClassVector, nef_basis_class, zero_class
 from fatpoints.syzygy import s_dim, s_of_nef, s_vanish_by_degree
 
 GOLDEN_CONIC = PointConfig(
@@ -65,6 +65,7 @@ def test_uniform_rules():
     assert s_of_nef(ClassVector(7, (2,) * 10), ctx10).value == 1
     assert s_of_nef(ClassVector(10, (3,) * 10), ctx10).value == 1
     assert s_of_nef(ClassVector(4, (1,) * 12), ctx12).value == 0
+    assert s_of_nef(zero_class(10), ctx10).value == 0
 
 
 def test_uniform_kernel_multiples():
