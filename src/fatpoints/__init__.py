@@ -12,127 +12,52 @@ from __future__ import annotations
 from .cohomology import (
     CaseContext,
     CohomologyAnswer,
-    chi,
     h0_any,
     h0_with_decomposition,
     make_context,
-    regularity_bound,
 )
 from .configuration import (
     ConicShape,
     FatPointScheme,
     LambdaSpec,
-    LambdaUnderdeterminedError,
     Point,
     PointConfig,
-    ProximityMatrix,
     UnsupportedRuleError,
     ValidationError,
-    canonical_reorder,
-    check_proximity,
-    conjugate_partition,
-    line_partition_data,
-    proximity_matrix,
-    validate,
 )
-from .lattice import (
-    ClassVector,
-    NefBasisCoefficients,
-    canonical_class,
-    e0_class,
-    exceptional_class,
-    extend_rank,
-    intersect,
-    nef_basis_class,
-    nef_basis_coefficients,
-    zero_class,
-)
-from .negcurves import (
-    NegativeCurve,
-    NegativeCurveList,
-    enumerate_negative_curves,
-    flex_candidate_fixed_classes,
-)
-from .oracle import DEFAULT_PRIME, OracleReport, hilbert_oracle, nu_oracle, oracle_report, sample_coordinates
-from .resolution import (
-    GradedFreeModule,
-    ResolutionReport,
-    free_module_from_hilbert,
-    hilbert_function,
-    line_hilbert_condensed,
-    line_hilbert_direct,
-    resolve,
-    resolve_line_closed_form,
-)
-from .syzygy import SyzygyAnswer, s_dim, s_of_nef, s_vanish_by_degree
-from .zariski import (
-    NotEffective,
-    SubtractionStep,
-    ZariskiDecomposition,
-    is_nef,
-    kernel_multiple_data,
-    zariski_decompose,
-)
+from .lattice import ClassVector
+from .negcurves import NegativeCurveList, enumerate_negative_curves
+from .oracle import OracleReport, oracle_report
+from .resolution import GradedFreeModule, ResolutionReport, resolve, resolve_line_closed_form
+from .syzygy import SyzygyAnswer, s_dim
+from .zariski import NotEffective, ZariskiDecomposition, is_nef, zariski_decompose
 
 __all__ = [
     "CaseContext",
     "ClassVector",
     "CohomologyAnswer",
     "ConicShape",
-    "DEFAULT_PRIME",
     "FatPointScheme",
     "GradedFreeModule",
     "LambdaSpec",
-    "LambdaUnderdeterminedError",
-    "NefBasisCoefficients",
-    "NegativeCurve",
     "NegativeCurveList",
     "NotEffective",
     "OracleReport",
     "Point",
     "PointConfig",
-    "ProximityMatrix",
     "ResolutionReport",
-    "SubtractionStep",
     "SyzygyAnswer",
     "UnsupportedRuleError",
     "ValidationError",
     "ZariskiDecomposition",
-    "canonical_class",
-    "canonical_reorder",
-    "check_proximity",
-    "chi",
-    "conjugate_partition",
-    "e0_class",
     "enumerate_negative_curves",
-    "exceptional_class",
-    "extend_rank",
-    "flex_candidate_fixed_classes",
-    "free_module_from_hilbert",
     "h0_any",
     "h0_with_decomposition",
-    "hilbert_function",
-    "hilbert_oracle",
-    "intersect",
     "is_nef",
-    "kernel_multiple_data",
-    "line_hilbert_condensed",
-    "line_hilbert_direct",
-    "line_partition_data",
     "make_context",
-    "nef_basis_class",
-    "nef_basis_coefficients",
-    "nu_oracle",
     "oracle_report",
-    "proximity_matrix",
-    "regularity_bound",
     "resolve",
     "resolve_line_closed_form",
     "s_dim",
-    "s_of_nef",
-    "s_vanish_by_degree",
-    "sample_coordinates",
-    "validate",
     "zariski_decompose",
-    "zero_class",
 ]

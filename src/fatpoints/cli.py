@@ -25,11 +25,11 @@ from .configuration import (
     check_proximity,
     validate,
 )
-from .cohomology import regularity_bound
+from .cohomology import h0_any, make_context, regularity_bound
 from .lattice import ClassVector
 from .negcurves import enumerate_negative_curves
 from .oracle import DEFAULT_PRIME, oracle_report
-from .resolution import GradedFreeModule, ResolutionReport, hilbert_function, resolve
+from .resolution import GradedFreeModule, ResolutionReport, resolve
 from .zariski import NotEffective, zariski_decompose
 
 
@@ -326,7 +326,8 @@ def _run_hilbert(spec: RunSpec) -> int:
     if top is None:
         top = regularity_bound(scheme) + 2
     degrees = list(range(top + 1))
-    values = [hilbert_function(scheme, d) for d in degrees]
+    context = make_context(config)
+    values = [h0_any(scheme.to_class(d), context).h0 for d in degrees]
     if spec.output_format == "machine":
         _emit_machine({"degrees": degrees, "h": values})
         return 0
@@ -338,7 +339,7 @@ def _run_hilbert(spec: RunSpec) -> int:
 def _run_zariski(spec: RunSpec) -> int:
     config, _ = parse_config(spec.input_path)
     cls = _parse_class(spec.target_class, config.r)
-    dec = zariski_decompose(cls, config)
+    dec = zariski_decompose(cls, make_context(config))
     if spec.output_format == "machine":
         if isinstance(dec, NotEffective):
             _emit_machine(

@@ -10,14 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import (
-    FatPointScheme,
-    LambdaSpec,
-    PointConfig,
-    UnsupportedRuleError,
-    check_proximity,
-    validate,
-)
+from .configuration import FatPointScheme, PointConfig, check_proximity, validate
 from .lattice import (
     ClassVector,
     canonical_class,
@@ -26,11 +19,12 @@ from .lattice import (
     nef_basis_coefficients,
     zero_class,
 )
-from .negcurves import NegativeCurveList, enumerate_negative_curves
 from .zariski import (
+    CaseContext,
     NotEffective,
     ZariskiDecomposition,
-    kernel_multiple_data,
+    loop_candidates,
+    uniform_cubic_rule,
     zariski_decompose,
 )
 
@@ -50,20 +44,11 @@ class CohomologyAnswer:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CaseContext:
-    """A validated configuration bundled with its enumerated curve classes."""
-
-    config: PointConfig
-    curves: NegativeCurveList | None
-
-
 def make_context(config: PointConfig) -> CaseContext:
+    """Validate ``config`` and collect the candidates its decompositions
+    subtract, once for every class of the case."""
     validate(config)
-    curves = None
-    if config.curve_kind in ("line", "conic"):
-        curves = enumerate_negative_curves(config)
-    return CaseContext(config, curves)
+    return CaseContext(config, loop_candidates(config))
 
 
 def chi(f: ClassVector) -> int:
@@ -82,91 +67,6 @@ def regularity_bound(scheme: FatPointScheme) -> int:
 
 def _not_effective_answer(f: ClassVector, reason: str) -> CohomologyAnswer:
     return CohomologyAnswer(0, None, zero_class(f.r), (f"not effective: {reason}",))
-
-
-def h0_conic(
-    f: ClassVector,
-    config: PointConfig,
-    curves: NegativeCurveList | None = None,
-) -> CohomologyAnswer:
-    """Sections of ``f`` for a configuration on a line or a conic."""
-    if config.curve_kind not in ("line", "conic"):
-        raise ValueError(
-            f"h0_conic handles line and conic configurations, not {config.curve_kind}"
-        )
-    dec = zariski_decompose(f, config, curves)
-    if isinstance(dec, NotEffective):
-        return _not_effective_answer(f, dec.reason)
-    h0 = chi(dec.moving)
-    h1 = h0 - chi(f)
-    if h0 < 0 or h1 < 0:
-        raise RuntimeError(f"internal error: negative section count for {f}")
-    return CohomologyAnswer(h0, h1, dec.moving, ("nef moving part is regular",))
-
-
-def h0_uniform(t: int, m: int, r: int, lambda_spec: LambdaSpec | None) -> CohomologyAnswer:
-    """Sections of t*e0 + m*(-K) for r general points of a smooth cubic."""
-    if r < 9:
-        raise UnsupportedRuleError(
-            "rules for points on a smooth cubic need at least nine points"
-        )
-    if m < 0:
-        raise ValueError("uniform multiplicity must be nonnegative")
-    k = canonical_class(r)
-    f = ClassVector(t + 3 * m, (m,) * r)
-    if t < 0:
-        return _not_effective_answer(f, "degree below three times the multiplicity")
-    if m == 0:
-        return CohomologyAnswer(chi(f), 0, f, ("plane curves of the given degree",))
-    if lambda_spec is None:
-        raise ValueError("uniform cubic rules need the restriction kernel")
-
-    if r == 9:
-        if t > 0:
-            return CohomologyAnswer(chi(f), 0, f, ("fixed component free and regular",))
-        shift, multiple = kernel_multiple_data(m, lambda_spec, 9)
-        moving = (m - shift) * (-k)
-        h0 = multiple + 1
-        h1 = h0 - chi(f)
-        return CohomologyAnswer(
-            h0,
-            h1,
-            moving,
-            (f"fixed part is {shift} copies of the cubic", "kernel multiple count"),
-        )
-
-    u = 3 * t + (9 - r) * m
-    if u > 0:
-        return CohomologyAnswer(chi(f), 0, f, ("positive restriction degree",))
-    if t == 0:
-        h0 = 1
-        return CohomologyAnswer(
-            h0,
-            h0 - chi(f),
-            zero_class(r),
-            ("multiple of the cubic: one section",),
-        )
-    shift = (-u + (r - 9) - 1) // (r - 9)
-    boundary = u + shift * (r - 9)
-    if boundary > 0:
-        moving = f + shift * k
-        h0 = chi(moving)
-        notes = (f"fixed part is {shift} copies of the cubic",)
-    elif lambda_spec.contains(f + shift * k):
-        moving = f + shift * k
-        h0 = chi(moving) + 1
-        notes = (
-            f"fixed part is {shift} copies of the cubic",
-            "moving part lies in the restriction kernel: one extra section",
-        )
-    else:
-        moving = f + (shift + 1) * k
-        h0 = chi(moving)
-        notes = (f"fixed part is {shift + 1} copies of the cubic",)
-    h1 = h0 - chi(f)
-    if h0 < 0 or h1 < 0:
-        raise RuntimeError(f"internal error: negative section count for {f}")
-    return CohomologyAnswer(h0, h1, moving, notes)
 
 
 def _flex_base_locus_note(f: ClassVector, a: tuple[int, ...], mk: int) -> str:
@@ -217,52 +117,26 @@ def h0_with_decomposition(
     f: ClassVector, context: CaseContext
 ) -> tuple[CohomologyAnswer, ZariskiDecomposition | NotEffective]:
     """One decomposition pass feeding both the section count and the trace."""
-    config = context.config
-    kind = config.curve_kind
-    if kind in ("line", "conic"):
-        dec = zariski_decompose(f, config, context.curves)
-        if isinstance(dec, NotEffective):
-            return _not_effective_answer(f, dec.reason), dec
-        h0 = chi(dec.moving)
-        return (
-            CohomologyAnswer(h0, h0 - chi(f), dec.moving, ("nef moving part is regular",)),
-            dec,
-        )
+    kind = context.config.curve_kind
     if kind == "cubic_uniform":
-        dec = zariski_decompose(f, config)
-        values = set(f.m)
-        m = f.m[0] if f.r else 0
-        if len(values) > 1:
-            raise UnsupportedRuleError(
-                f"only uniform multiplicities are supported on a smooth cubic, got {f.m}"
-            )
-        if m < 0:
-            answer = h0_uniform(f.d, 0, f.r, config.lambda_spec)
-        else:
-            answer = h0_uniform(f.d - 3 * m, m, f.r, config.lambda_spec)
+        rule = uniform_cubic_rule(f, context)
+        dec = rule.decomposition
         if isinstance(dec, NotEffective):
-            if answer.h0 != 0:
-                raise RuntimeError(f"internal error: rule mismatch on {f}")
-            return answer, dec
-        if answer.moving_part != dec.moving:
-            raise RuntimeError(
-                f"internal error: moving parts disagree for {f}: "
-                f"{answer.moving_part} vs {dec.moving}"
-            )
-        h1 = answer.h0 - chi(f)
-        if h1 < 0:
-            raise RuntimeError(f"internal error: negative h1 for {f}")
-        return CohomologyAnswer(answer.h0, h1, dec.moving, answer.notes), dec
-    if kind == "cubic_flex":
-        dec = zariski_decompose(f, config)
+            return CohomologyAnswer(0, None, zero_class(f.r), rule.notes), dec
+        h0, notes = chi(dec.moving) + rule.extra_sections, rule.notes
+    else:
+        dec = zariski_decompose(f, context)
         if isinstance(dec, NotEffective):
             return _not_effective_answer(f, dec.reason), dec
-        base = h0_flex(dec.moving)
-        h1 = base.h0 - chi(f)
-        if h1 < 0:
-            raise RuntimeError(f"internal error: negative h1 for {f}")
-        return CohomologyAnswer(base.h0, h1, dec.moving, base.notes), dec
-    raise UnsupportedRuleError(f"no section rules for curve kind {kind}")
+        if kind == "cubic_flex":
+            base = h0_flex(dec.moving)
+            h0, notes = base.h0, base.notes
+        else:
+            h0, notes = chi(dec.moving), ("nef moving part is regular",)
+    h1 = h0 - chi(f)
+    if h1 < 0:
+        raise RuntimeError(f"internal error: negative h1 for {f}")
+    return CohomologyAnswer(h0, h1, dec.moving, notes), dec
 
 
 def h0_any(f: ClassVector, context: CaseContext) -> CohomologyAnswer:
@@ -274,9 +148,7 @@ __all__ = [
     "CohomologyAnswer",
     "chi",
     "h0_any",
-    "h0_conic",
     "h0_flex",
-    "h0_uniform",
     "h0_with_decomposition",
     "make_context",
     "regularity_bound",

@@ -53,9 +53,6 @@ class NegativeCurveList:
                 raise ValueError(f"negative curve list repeats {entry.cls}")
             seen.add(entry.cls)
 
-    def classes(self) -> tuple[ClassVector, ...]:
-        return tuple(entry.cls for entry in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -29,7 +29,7 @@ from .cohomology import (
     make_context,
     regularity_bound,
 )
-from .zariski import NotEffective, zariski_decompose
+from .zariski import NotEffective, kernel_multiple_data, zariski_decompose
 
 RULE_BEYOND_REGULARITY = "beyond-regularity"
 RULE_INITIAL_GENERATORS = "initial-generators"
@@ -67,14 +67,12 @@ def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     c = h.m[0]
     if c < 0 or h != c * (-canonical_class(9)):
         raise ValueError(f"s_of_nef expects a moving part, got {h}")
-    spec = context.config.lambda_spec
-    if spec is None:
-        raise ValueError("uniform cubic rules need the restriction kernel")
-    if not spec.contains_multiple_of_k(c, 9):
+    shift, multiple = kernel_multiple_data(c, context.config.lambda_spec, 9)
+    if shift:
         raise ValueError(f"{h} is not a moving part for the given kernel")
-    order = next(n for n in range(1, c + 1) if spec.contains_multiple_of_k(n, 9))
-    multiple = c // order
-    return SyzygyAnswer(3 * multiple * (order - 1), "uniform-kernel-multiple")
+    # c is `multiple` times the least kernel order, and each multiple adds
+    # 3 * (order - 1) syzygies
+    return SyzygyAnswer(3 * (c - multiple), "uniform-kernel-multiple")
 
 
 def _flex_shape(h: ClassVector) -> tuple[tuple[int, ...], int]:
@@ -148,7 +146,7 @@ def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) ->
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
     f = scheme.to_class(d)
     up = h0_any(scheme.to_class(d + 1), context).h0
-    dec = zariski_decompose(f, context.config, context.curves)
+    dec = zariski_decompose(f, context)
     if isinstance(dec, NotEffective):
         return SyzygyAnswer(up, RULE_INITIAL_GENERATORS)
     moving = dec.moving

@@ -1,10 +1,12 @@
 """Moving and fixed parts of divisor classes.
 
-The conic, line, and flex cases run a subtraction loop against the candidate
-negative classes; the uniform-cubic case follows the closed-form rules, which
-decide effectivity and the fixed anticanonical multiple directly.  Each loop
-step records a certificate (the negative pairing that forced it), and an
-ample-degree potential bounds the iteration so a bad candidate list fails
+A ``CaseContext`` holds a validated configuration and the candidate classes
+its decompositions subtract.  The conic, line, and flex cases run a
+subtraction loop against those candidates; the uniform-cubic case follows the
+closed-form rule in ``uniform_cubic_rule``, which decides effectivity, the
+fixed anticanonical multiple and the kernel's extra sections directly.  Each
+subtraction records a certificate (the negative pairing that forced it), and
+an ample-degree potential bounds the iteration so a bad candidate list fails
 loudly instead of spinning.
 """
 
@@ -12,23 +14,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import (
-    PointConfig,
-    UnsupportedRuleError,
-    validate,
-)
+from .configuration import LambdaSpec, PointConfig, UnsupportedRuleError
 from .lattice import (
     ClassVector,
     canonical_class,
     e0_class,
     exceptional_class,
     intersect,
+    nef_basis_coefficients,
 )
 from .negcurves import (
     KIND_CUBIC,
+    KIND_EXCEPTIONAL,
     KIND_LINE,
     NegativeCurve,
-    NegativeCurveList,
     enumerate_negative_curves,
     flex_candidate_fixed_classes,
 )
@@ -62,86 +61,110 @@ class ZariskiDecomposition:
     trace: tuple[SubtractionStep, ...]
 
 
-def _loop_candidates(config: PointConfig, curves: NegativeCurveList | None) -> tuple[NegativeCurve, ...]:
-    if config.curve_kind == "cubic_flex":
-        return tuple(flex_candidate_fixed_classes(config.r))
-    if curves is None:
-        curves = enumerate_negative_curves(config)
-    entries = list(curves)
-    if config.r == 1:
-        # The line through a single point has square zero, so the enumeration
-        # omits it, but a class can still be cut down by it (a fat point of
-        # multiplicity above the degree is not effective).
-        singleton = e0_class(1) - exceptional_class(1, 1)
-        if all(entry.cls != singleton for entry in entries):
-            entries.append(NegativeCurve(singleton, KIND_LINE, "L(1)"))
-    return tuple(entries)
+@dataclass(frozen=True)
+class CaseContext:
+    """A validated configuration with the candidate classes its loop subtracts.
+
+    Build it with ``cohomology.make_context``.  The uniform cubic has no
+    candidates: its closed-form rule needs only the configuration's kernel
+    spec.
+    """
+
+    config: PointConfig
+    candidates: tuple[NegativeCurve, ...]
+
+
+@dataclass(frozen=True)
+class UniformCubicAnswer:
+    """The closed-form answer for a uniform class on a smooth cubic.
+
+    When the class is effective it has chi(moving part) + extra_sections
+    sections; notes name the rule that decided it.
+    """
+
+    decomposition: ZariskiDecomposition | NotEffective
+    extra_sections: int
+    notes: tuple[str, ...]
 
 
 def _ample_witness(r: int) -> ClassVector:
     return ClassVector(2**r, tuple(2 ** (r - i) for i in range(1, r + 1)))
 
 
-def is_nef(f: ClassVector, config: PointConfig, curves: NegativeCurveList | None = None) -> bool:
-    """Whether ``f`` pairs nonnegatively with every curve class of the case."""
-    validate(config)
-    if f.r != config.r:
-        raise ValueError(f"class of rank {f.r} does not match {config.r} points")
-    kind = config.curve_kind
-    if kind == "cubic_flex":
-        coeffs = _flex_coefficients(f)
-        return min(coeffs.a) >= 0 and coeffs.minus_k_pairing >= 0
-    if kind == "cubic_uniform":
-        m = _uniform_multiplicity(f)
-        t = f.d - 3 * m
-        return m >= 0 and t >= 0 and 3 * t + (9 - f.r) * m >= 0
-    if f.d < 0:
-        return False
-    return all(intersect(f, entry.cls) >= 0 for entry in _loop_candidates(config, curves))
+def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
+    """The classes the subtraction loop tries, in order, for a valid config.
 
-
-def _flex_coefficients(f: ClassVector):
-    from .lattice import nef_basis_coefficients
-
-    return nef_basis_coefficients(f)
-
-
-def _uniform_multiplicity(f: ClassVector) -> int:
-    if f.r < 9:
-        raise UnsupportedRuleError(
-            "rules for points on a smooth cubic need at least nine points"
-        )
-    values = set(f.m)
-    if len(values) > 1:
-        raise UnsupportedRuleError(
-            f"only uniform multiplicities are supported on a smooth cubic, got {f.m}"
-        )
-    return f.m[0]
-
-
-def zariski_decompose(
-    f: ClassVector,
-    config: PointConfig,
-    curves: NegativeCurveList | None = None,
-) -> ZariskiDecomposition | NotEffective:
-    """Split ``f`` into a nef moving part plus the forced fixed classes.
-
-    Returns ``NotEffective`` when the subtraction drives the degree negative.
+    Lines and conics subtract their enumerated negative curves, flex chains
+    the classes dual to the nef basis.  The uniform cubic needs none.
     """
-    validate(config)
-    if f.r != config.r:
-        raise ValueError(f"class of rank {f.r} does not match {config.r} points")
-    if config.curve_kind == "cubic_uniform":
-        return _decompose_uniform(f, config)
-
-    candidates = _loop_candidates(config, curves)
-    ample = _ample_witness(f.r)
+    kind = config.curve_kind
+    candidates = []
+    if kind == "cubic_flex":
+        candidates = list(flex_candidate_fixed_classes(config.r))
+    elif kind in ("line", "conic"):
+        candidates = list(enumerate_negative_curves(config))
+        if config.r == 1:
+            # The line through a single point has square zero, so the
+            # enumeration omits it, but a class can still be cut down by it (a
+            # fat point of multiplicity above the degree is not effective).
+            singleton = e0_class(1) - exceptional_class(1, 1)
+            candidates.append(NegativeCurve(singleton, KIND_LINE, "L(1)"))
+    ample = _ample_witness(config.r)
     for entry in candidates:
         if intersect(ample, entry.cls) < 1:
             raise RuntimeError(
                 f"internal error: ample witness meets candidate {entry.cls} "
                 f"in degree {intersect(ample, entry.cls)}"
             )
+    return tuple(candidates)
+
+
+def _check_rank(f: ClassVector, config: PointConfig) -> None:
+    if f.r != config.r:
+        raise ValueError(f"class of rank {f.r} does not match {config.r} points")
+
+
+def _check_uniform_class(f: ClassVector) -> None:
+    if f.r < 9:
+        raise UnsupportedRuleError(
+            "rules for points on a smooth cubic need at least nine points"
+        )
+    if len(set(f.m)) > 1:
+        raise UnsupportedRuleError(
+            f"only uniform multiplicities are supported on a smooth cubic, got {f.m}"
+        )
+
+
+def is_nef(f: ClassVector, context: CaseContext) -> bool:
+    """Whether ``f`` pairs nonnegatively with every curve class of the case."""
+    config = context.config
+    _check_rank(f, config)
+    kind = config.curve_kind
+    if kind == "cubic_flex":
+        coeffs = nef_basis_coefficients(f)
+        return min(coeffs.a) >= 0 and coeffs.minus_k_pairing >= 0
+    if kind == "cubic_uniform":
+        _check_uniform_class(f)
+        m = f.m[0]
+        t = f.d - 3 * m
+        return m >= 0 and t >= 0 and 3 * t + (9 - f.r) * m >= 0
+    if f.d < 0:
+        return False
+    return all(intersect(f, entry.cls) >= 0 for entry in context.candidates)
+
+
+def zariski_decompose(
+    f: ClassVector, context: CaseContext
+) -> ZariskiDecomposition | NotEffective:
+    """Split ``f`` into a nef moving part plus the forced fixed classes.
+
+    Returns ``NotEffective`` when the subtraction drives the degree negative.
+    """
+    config = context.config
+    if config.curve_kind == "cubic_uniform":
+        return uniform_cubic_rule(f, context).decomposition
+    _check_rank(f, config)
+    ample = _ample_witness(f.r)
     minus_k = -canonical_class(f.r)
     forced_cubic = config.curve_kind == "cubic_flex" and f.r > 9
 
@@ -166,7 +189,7 @@ def zariski_decompose(
                 RULE_FORCED_CUBIC,
             )
         if step is None:
-            for entry in candidates:
+            for entry in context.candidates:
                 pairing = intersect(current, entry.cls)
                 if pairing < 0:
                     step = SubtractionStep(
@@ -191,35 +214,22 @@ def zariski_decompose(
         if len(steps) > budget:
             raise RuntimeError("internal error: subtraction budget exceeded")
 
-    if not is_nef(current, config, curves):
+    if not is_nef(current, context):
         raise RuntimeError(f"internal error: loop stopped at non-nef {current}")
     return ZariskiDecomposition(current, f - current, tuple(steps))
 
 
-def _uniform_cubic_steps(
-    start: ClassVector, count: int, rule: str
-) -> tuple[ClassVector, list[SubtractionStep]]:
-    minus_k = -canonical_class(start.r)
-    current = start
-    steps = []
-    for _ in range(count):
-        steps.append(
-            SubtractionStep(
-                minus_k,
-                KIND_CUBIC,
-                "D",
-                intersect(minus_k, current),
-                minus_k.square(),
-                rule,
-            )
-        )
-        current = current - minus_k
-    return current, steps
+def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnswer:
+    """The rule for t*e0 + m*(-K) at r >= 9 general points of a smooth cubic.
 
-
-def _decompose_uniform(f: ClassVector, config: PointConfig) -> ZariskiDecomposition | NotEffective:
+    It fixes how many copies of the cubic split off, whether the moving part
+    lies in the restriction kernel, and the resulting extra sections.
+    """
+    config = context.config
+    _check_rank(f, config)
+    _check_uniform_class(f)
     r = config.r
-    m = _uniform_multiplicity(f)
+    m = f.m[0]
     steps: list[SubtractionStep] = []
     current = f
     if m < 0:
@@ -231,7 +241,7 @@ def _decompose_uniform(f: ClassVector, config: PointConfig) -> ZariskiDecomposit
                 steps.append(
                     SubtractionStep(
                         e_i,
-                        "exceptional_component",
+                        KIND_EXCEPTIONAL,
                         f"E{i}",
                         intersect(current, e_i),
                         e_i.square(),
@@ -242,50 +252,56 @@ def _decompose_uniform(f: ClassVector, config: PointConfig) -> ZariskiDecomposit
         m = 0
     t = current.d - 3 * m
     if t < 0:
-        return NotEffective(
-            "degree below three times the uniform multiplicity", tuple(steps)
+        return UniformCubicAnswer(
+            NotEffective("degree below three times the uniform multiplicity", tuple(steps)),
+            0,
+            ("not effective: degree below three times the multiplicity",),
         )
-    if m == 0:
-        return ZariskiDecomposition(current, f - current, tuple(steps))
 
-    spec = config.lambda_spec
-    if spec is None:
-        raise UnsupportedRuleError(
-            "uniform cubic rules need the restriction kernel of the point set"
-        )
-    if r == 9:
-        if t > 0:
-            moving = current
-        else:
-            shift, _ = kernel_multiple_data(m, spec, 9)
-            moving, cubic_steps = _uniform_cubic_steps(current, shift, RULE_UNIFORM_CUBIC)
-            steps.extend(cubic_steps)
-        return ZariskiDecomposition(moving, f - moving, tuple(steps))
-
+    # u is the degree of the class restricted to the cubic.
     u = 3 * t + (9 - r) * m
-    if u > 0:
-        return ZariskiDecomposition(current, f - current, tuple(steps))
-    if t == 0:
-        moving, cubic_steps = _uniform_cubic_steps(current, m, RULE_UNIFORM_CUBIC)
-        steps.extend(cubic_steps)
-        if not moving.is_zero():
-            raise RuntimeError("internal error: multiple of the cubic left a residue")
-        return ZariskiDecomposition(moving, f - moving, tuple(steps))
-
-    shift = (-u + (r - 9) - 1) // (r - 9)
-    boundary = u + shift * (r - 9)
-    if boundary > 0:
-        count = shift
-    elif spec.contains(current + shift * canonical_class(r)):
-        count = shift
+    extra = 0
+    if m == 0:
+        count, notes = 0, ("plane curves of the given degree",)
+    elif u > 0:
+        note = "fixed component free and regular" if r == 9 else "positive restriction degree"
+        count, notes = 0, (note,)
+    elif r == 9:
+        # u = 3t = 0: the class is m copies of the cubic
+        count, extra = kernel_multiple_data(m, config.lambda_spec, 9)
+        notes = (f"fixed part is {count} copies of the cubic", "kernel multiple count")
+    elif t == 0:
+        count, notes = m, ("multiple of the cubic: one section",)
     else:
-        count = shift + 1
-    moving, cubic_steps = _uniform_cubic_steps(current, count, RULE_UNIFORM_CUBIC)
-    steps.extend(cubic_steps)
-    return ZariskiDecomposition(moving, f - moving, tuple(steps))
+        # the fewest copies of the cubic that bring u back to zero or above
+        count = (-u + (r - 9) - 1) // (r - 9)
+        notes = (f"fixed part is {count} copies of the cubic",)
+        if u + count * (r - 9) == 0:
+            if config.lambda_spec.contains(current + count * canonical_class(r)):
+                extra = 1
+                notes += ("moving part lies in the restriction kernel: one extra section",)
+            else:
+                count += 1
+                notes = (f"fixed part is {count} copies of the cubic",)
+
+    minus_k = -canonical_class(r)
+    for _ in range(count):
+        steps.append(
+            SubtractionStep(
+                minus_k,
+                KIND_CUBIC,
+                "D",
+                intersect(minus_k, current),
+                minus_k.square(),
+                RULE_UNIFORM_CUBIC,
+            )
+        )
+        current = current - minus_k
+    decomposition = ZariskiDecomposition(current, f - current, tuple(steps))
+    return UniformCubicAnswer(decomposition, extra, notes)
 
 
-def kernel_multiple_data(m: int, spec, r: int) -> tuple[int, int]:
+def kernel_multiple_data(m: int, spec: LambdaSpec, r: int) -> tuple[int, int]:
     """Least shift s with (m - s) copies of the cubic in the kernel, and the
     multiple count (m - s) divided by the least kernel order."""
     if m < 0:
@@ -305,10 +321,14 @@ def kernel_multiple_data(m: int, spec, r: int) -> tuple[int, int]:
 
 
 __all__ = [
+    "CaseContext",
     "NotEffective",
     "SubtractionStep",
+    "UniformCubicAnswer",
     "ZariskiDecomposition",
     "is_nef",
     "kernel_multiple_data",
+    "loop_candidates",
+    "uniform_cubic_rule",
     "zariski_decompose",
 ]

@@ -109,7 +109,7 @@ def test_criterion_1_conic_golden():
         7: ClassVector(5, (1, 1, 1, 0, 2, 1)),
     }
     for d, want in moving.items():
-        dec = zariski_decompose(GOLDEN_SCHEME.to_class(d), GOLDEN_CONIC)
+        dec = zariski_decompose(GOLDEN_SCHEME.to_class(d), ctx)
         assert dec.moving == want
 
     assert list(report.nu[5:9]) == [3, 1, 0, 2]
@@ -316,16 +316,16 @@ def test_criterion_7_invariant_suite():
     effective = 0
     for _ in range(500):
         f = ClassVector(rng.randint(0, 12), tuple(rng.randint(0, 5) for _ in range(6)))
-        dec = zariski_decompose(f, GOLDEN_CONIC, ctx.curves)
+        dec = zariski_decompose(f, ctx)
         if isinstance(dec, NotEffective):
             continue
         effective += 1
         for step in dec.trace:
             assert step.pairing < 0
             assert step.square < 0
-        again = zariski_decompose(dec.moving, GOLDEN_CONIC, ctx.curves)
+        again = zariski_decompose(dec.moving, ctx)
         assert again.moving == dec.moving and again.fixed.is_zero()
-        assert is_nef(dec.moving, GOLDEN_CONIC, ctx.curves)
+        assert is_nef(dec.moving, ctx)
     assert effective > 100
 
     # reorder-invariance of resolve

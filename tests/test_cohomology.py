@@ -6,7 +6,6 @@ from fatpoints.cohomology import (
     chi,
     h0_any,
     h0_flex,
-    h0_uniform,
     h0_with_decomposition,
     make_context,
     regularity_bound,
@@ -29,6 +28,16 @@ GOLDEN_CONIC = PointConfig(
     conic_shape=ConicShape("two_lines", line_a=0, line_b=1),
 )
 GOLDEN_SCHEME = FatPointScheme(GOLDEN_CONIC, (3, 2, 2, 1, 3, 2))
+
+
+def uniform_h0(t, m, r, spec=LambdaSpec("trivial")):
+    """Sections of t*e0 + m*(-K) for r general points of a smooth cubic."""
+    cfg = PointConfig(
+        curve_kind="cubic_uniform",
+        points=tuple(Point(i) for i in range(1, r + 1)),
+        lambda_spec=spec,
+    )
+    return h0_with_decomposition(ClassVector(t + 3 * m, (m,) * r), make_context(cfg))[0]
 
 
 def flex_context(r):
@@ -110,26 +119,26 @@ def test_adding_a_line_never_drops_sections():
 
 def test_uniform_examples():
     triv = LambdaSpec("trivial")
-    assert h0_uniform(0, 2, 12, triv).h0 == 1
-    ans = h0_uniform(2, 2, 12, triv)
+    assert uniform_h0(0, 2, 12, triv).h0 == 1
+    ans = uniform_h0(2, 2, 12, triv)
     assert ans.h0 == 9
     assert ans.moving_part == ClassVector(5, (1,) * 12)
-    assert h0_uniform(0, 3, 9, LambdaSpec("order", order=2)).h0 == 2
+    assert uniform_h0(0, 3, 9, LambdaSpec("order", order=2)).h0 == 2
 
 
 def test_uniform_zero_multiplicity():
-    ans = h0_uniform(4, 0, 9, None)
+    ans = uniform_h0(4, 0, 9)
     assert ans.h0 == chi(ClassVector(4, (0,) * 9)) == 15
     assert ans.h1 == 0
 
 
 def test_uniform_needs_nine_points():
     with pytest.raises(UnsupportedRuleError):
-        h0_uniform(1, 1, 8, LambdaSpec("trivial"))
+        uniform_h0(1, 1, 8, LambdaSpec("trivial"))
 
 
 def test_uniform_not_effective():
-    ans = h0_uniform(-1, 2, 9, LambdaSpec("trivial"))
+    ans = uniform_h0(-1, 2, 9, LambdaSpec("trivial"))
     assert ans.h0 == 0
     assert ans.h1 is None
 

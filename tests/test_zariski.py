@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fatpoints.cohomology import make_context
 from fatpoints.configuration import (
     ConicShape,
     LambdaSpec,
@@ -10,7 +11,6 @@ from fatpoints.configuration import (
     PointConfig,
 )
 from fatpoints.lattice import ClassVector, canonical_class, intersect, zero_class
-from fatpoints.negcurves import enumerate_negative_curves
 from fatpoints.zariski import (
     NotEffective,
     is_nef,
@@ -40,54 +40,54 @@ def flex_config(r):
 
 
 def test_golden_decomposition():
-    dec = zariski_decompose(ClassVector(5, (3, 2, 2, 1, 3, 2)), GOLDEN_CONIC)
+    dec = zariski_decompose(ClassVector(5, (3, 2, 2, 1, 3, 2)), make_context(GOLDEN_CONIC))
     assert dec.moving == ClassVector(2, (0, 1, 1, 0, 1, 0))
     assert dec.fixed == ClassVector(3, (3, 1, 1, 1, 2, 2))
     assert dec.moving + dec.fixed == ClassVector(5, (3, 2, 2, 1, 3, 2))
 
 
 def test_golden_not_effective():
-    dec = zariski_decompose(ClassVector(0, (1, 0, 0, 0, 0, 0)), GOLDEN_CONIC)
+    dec = zariski_decompose(ClassVector(0, (1, 0, 0, 0, 0, 0)), make_context(GOLDEN_CONIC))
     assert isinstance(dec, NotEffective)
 
 
 def test_nef_input_passes_through():
     f = ClassVector(2, (0, 1, 1, 0, 1, 0))
-    dec = zariski_decompose(f, GOLDEN_CONIC)
+    dec = zariski_decompose(f, make_context(GOLDEN_CONIC))
     assert dec.moving == f
     assert dec.fixed.is_zero()
     assert dec.trace == ()
 
 
 def test_is_nef_golden_cases():
-    curves = enumerate_negative_curves(GOLDEN_CONIC)
-    assert is_nef(ClassVector(2, (0, 1, 1, 0, 1, 0)), GOLDEN_CONIC, curves)
-    assert not is_nef(ClassVector(5, (3, 2, 2, 1, 3, 2)), GOLDEN_CONIC, curves)
-    assert not is_nef(ClassVector(-1, (0,) * 6), GOLDEN_CONIC, curves)
-    assert is_nef(zero_class(6), GOLDEN_CONIC, curves)
+    ctx = make_context(GOLDEN_CONIC)
+    assert is_nef(ClassVector(2, (0, 1, 1, 0, 1, 0)), ctx)
+    assert not is_nef(ClassVector(5, (3, 2, 2, 1, 3, 2)), ctx)
+    assert not is_nef(ClassVector(-1, (0,) * 6), ctx)
+    assert is_nef(zero_class(6), ctx)
 
 
 def test_trace_certificates_and_idempotence():
     """Each subtraction is certified by a negative pairing against a class of
     negative square, and the moving part decomposes to itself."""
     rng = random.Random(405)
-    curves = enumerate_negative_curves(GOLDEN_CONIC)
+    ctx = make_context(GOLDEN_CONIC)
     checked = 0
     for _ in range(500):
         f = ClassVector(
             rng.randint(0, 12),
             tuple(rng.randint(0, 5) for _ in range(6)),
         )
-        dec = zariski_decompose(f, GOLDEN_CONIC, curves)
+        dec = zariski_decompose(f, ctx)
         if isinstance(dec, NotEffective):
             continue
         checked += 1
         assert dec.moving + dec.fixed == f
-        assert is_nef(dec.moving, GOLDEN_CONIC, curves)
+        assert is_nef(dec.moving, ctx)
         for step in dec.trace:
             assert step.pairing < 0
             assert step.square < 0
-        again = zariski_decompose(dec.moving, GOLDEN_CONIC, curves)
+        again = zariski_decompose(dec.moving, ctx)
         assert again.moving == dec.moving
         assert again.fixed.is_zero()
     assert checked > 100
@@ -101,14 +101,15 @@ def test_reorder_invariance_of_nef_degree():
         points=tuple(Point(i) for i in range(1, 6)),
         conic_shape=ConicShape("smooth"),
     )
+    ctx = make_context(base)
     rng = random.Random(406)
     for _ in range(300):
         m = tuple(rng.randint(0, 4) for _ in range(5))
         d = rng.randint(0, 10)
         perm = list(range(5))
         rng.shuffle(perm)
-        dec_a = zariski_decompose(ClassVector(d, m), base)
-        dec_b = zariski_decompose(ClassVector(d, tuple(m[i] for i in perm)), base)
+        dec_a = zariski_decompose(ClassVector(d, m), ctx)
+        dec_b = zariski_decompose(ClassVector(d, tuple(m[i] for i in perm)), ctx)
         if isinstance(dec_a, NotEffective):
             assert isinstance(dec_b, NotEffective)
             continue
@@ -119,7 +120,7 @@ def test_reorder_invariance_of_nef_degree():
 def test_uniform_r9_multiples_of_cubic():
     cfg = uniform_config(9, LambdaSpec("order", order=2))
     f = ClassVector(9, (3,) * 9)  # 3 * (-K), restriction degree zero
-    dec = zariski_decompose(f, cfg)
+    dec = zariski_decompose(f, make_context(cfg))
     # one cubic splits off; two more stay mobile since 2 divides 2
     assert dec.fixed == ClassVector(3, (1,) * 9)
     assert dec.moving == ClassVector(6, (2,) * 9)
@@ -128,7 +129,7 @@ def test_uniform_r9_multiples_of_cubic():
 def test_uniform_r9_positive_degree_is_nef():
     cfg = uniform_config(9)
     f = ClassVector(10, (3,) * 9)
-    dec = zariski_decompose(f, cfg)
+    dec = zariski_decompose(f, make_context(cfg))
     assert dec.moving == f
     assert dec.fixed.is_zero()
 
@@ -136,7 +137,7 @@ def test_uniform_r9_positive_degree_is_nef():
 def test_uniform_r12_kernel_membership():
     cfg = uniform_config(12)  # trivial kernel
     # 6e0 - 2 sum e_i: restriction degree u = 18 - 24 < 0, lands on 0
-    dec = zariski_decompose(ClassVector(6, (2,) * 12), cfg)
+    dec = zariski_decompose(ClassVector(6, (2,) * 12), make_context(cfg))
     assert dec.moving.is_zero()
     assert dec.fixed == ClassVector(6, (2,) * 12)
 
@@ -145,7 +146,7 @@ def test_uniform_r12_off_lattice_extra_cubic():
     cfg = uniform_config(12)
     # 8e0 - 2 sum: u = 24 - 24 = 0 but 8e0-2sum is not a multiple of K and
     # the kernel is trivial, so one more cubic comes off
-    dec = zariski_decompose(ClassVector(8, (2,) * 12), cfg)
+    dec = zariski_decompose(ClassVector(8, (2,) * 12), make_context(cfg))
     assert dec.moving == ClassVector(5, (1,) * 12)
     assert dec.fixed == ClassVector(3, (1,) * 12)
 
@@ -155,19 +156,19 @@ def test_uniform_underdetermined_membership():
     # u = 0 with a class that is not an exact multiple of K: the order-only
     # spec cannot decide membership
     with pytest.raises(LambdaUnderdeterminedError):
-        zariski_decompose(ClassVector(8, (2,) * 12), cfg)
+        zariski_decompose(ClassVector(8, (2,) * 12), make_context(cfg))
 
 
 def test_uniform_negative_multiplicity_rounds_up():
     cfg = uniform_config(10)
-    dec = zariski_decompose(ClassVector(4, (-1,) * 10), cfg)
+    dec = zariski_decompose(ClassVector(4, (-1,) * 10), make_context(cfg))
     assert dec.moving == ClassVector(4, (0,) * 10)
     assert all(step.kind == "exceptional_component" for step in dec.trace)
 
 
 def test_uniform_not_effective():
     cfg = uniform_config(10)
-    dec = zariski_decompose(ClassVector(2, (1,) * 10), cfg)
+    dec = zariski_decompose(ClassVector(2, (1,) * 10), make_context(cfg))
     assert isinstance(dec, NotEffective)
 
 
@@ -176,7 +177,7 @@ def test_flex_forced_cubic_past_nine():
     # multiples shed every copy into the fixed part
     cfg = flex_config(10)
     k = canonical_class(10)
-    dec = zariski_decompose(-2 * k, cfg)
+    dec = zariski_decompose(-2 * k, make_context(cfg))
     assert dec.moving.is_zero()
     assert dec.fixed == -2 * k
     assert all(step.rule == "forced-anticanonical" for step in dec.trace)
@@ -186,16 +187,16 @@ def test_flex_forced_cubic_past_nine():
 def test_flex_chain_step():
     f = ClassVector(3, (1, 1, 1, 1, 1, 1, 1, 1, 0, 1))
     cfg = flex_config(10)
-    dec = zariski_decompose(f, cfg)
+    dec = zariski_decompose(f, make_context(cfg))
     assert dec.moving == ClassVector(3, (1,) * 9 + (0,))
     assert dec.fixed == ClassVector(0, (0,) * 8 + (-1, 1))
-    assert is_nef(dec.moving, cfg)
+    assert is_nef(dec.moving, make_context(cfg))
 
 
 def test_flex_nef_passthrough():
     cfg = flex_config(10)
     f = ClassVector(3, (1,) * 9 + (0,))
-    dec = zariski_decompose(f, cfg)
+    dec = zariski_decompose(f, make_context(cfg))
     assert dec.fixed.is_zero()
 
 
@@ -213,4 +214,4 @@ def test_kernel_multiple_data():
 
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
-        zariski_decompose(ClassVector(1, (1,)), GOLDEN_CONIC)
+        zariski_decompose(ClassVector(1, (1,)), make_context(GOLDEN_CONIC))
