@@ -27,8 +27,8 @@ from .configuration import (
 )
 from .cohomology import h0_any, make_context, regularity_bound
 from .lattice import ClassVector
-from .negcurves import enumerate_negative_curves
-from .oracle import DEFAULT_PRIME, oracle_report
+from .negcurves import negative_curves
+from .oracle import DEFAULT_PRIME, check_prime, oracle_report
 from .resolution import GradedFreeModule, ResolutionReport, resolve
 from .zariski import NotEffective, zariski_decompose
 
@@ -383,7 +383,7 @@ def _run_zariski(spec: RunSpec) -> int:
 
 def _run_negcurves(spec: RunSpec) -> int:
     config, _ = parse_config(spec.input_path)
-    curves = enumerate_negative_curves(config)
+    curves = negative_curves(config)
     if spec.output_format == "machine":
         _emit_machine(
             {
@@ -458,8 +458,7 @@ _COMMANDS = {
 def run(spec: RunSpec) -> int:
     """Execute one command and map failures to the documented exit codes."""
     try:
-        if spec.prime < 5:
-            raise ValidationError(f"prime {spec.prime} too small", rule="prime-range")
+        check_prime(spec.prime)
         if spec.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {spec.seed}", rule="seed-range")
         if spec.max_degree is not None and spec.max_degree < 0:

@@ -118,6 +118,11 @@ def enumerate_negative_curves(config: PointConfig) -> NegativeCurveList:
     negative.
     """
     validate(config)
+    return negative_curves(config)
+
+
+def negative_curves(config: PointConfig) -> NegativeCurveList:
+    """enumerate_negative_curves for a configuration already validated."""
     if config.curve_kind not in ("line", "conic"):
         raise UnsupportedRuleError(
             f"negative curve enumeration covers line and conic configurations, "

@@ -6,13 +6,20 @@ counts come from ranks.  Nothing here shares code with the lattice pipeline,
 which is the point: agreement is evidence, not tautology.
 
 Conditions always come from coefficient extraction after an affine change of
-frame, never from derivatives, so any prime beyond the working degree is safe.
+frame, never from derivatives: each condition row holds closed-form binomial
+Taylor coefficients.  A report builds the rows once, at its top degree, with
+columns ordered by degree, and reduces that matrix once; every lower degree's
+matrix is a leading block of columns, so the one reduction gives h(d) and the
+degree-d kernel for every d.  The field size p must be a prime with
+5 <= p < 2^31, so that the product of two residues is exact in int64.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from .configuration import (
     FatPointScheme,
     PointConfig,
     UnsupportedRuleError,
+    ValidationError,
     check_proximity,
     validate,
 )
@@ -27,7 +35,42 @@ from .cohomology import h0_any, make_context, regularity_bound
 from .syzygy import s_dim
 
 DEFAULT_PRIME = 32003
+_PRIME_LIMIT = 1 << 31
 _SAMPLING_ATTEMPTS = 500
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin: the bases 2, 3, 5 and 7 decide every n
+    below 3,215,031,751, which covers the whole field range."""
+    bases = (2, 3, 5, 7)
+    if n < 2:
+        return False
+    for q in bases:
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for base in bases:
+        x = pow(base, odd, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p: int) -> None:
+    """The field rule: p is a prime with 5 <= p < 2^31."""
+    if not (5 <= p < _PRIME_LIMIT and _is_prime(p)):
+        raise ValidationError(
+            f"the field size must be a prime p with 5 <= p < 2^31, got {p}",
+            rule="prime-range",
+        )
 
 
 @dataclass(frozen=True)
@@ -173,8 +216,7 @@ def _sample_on_cubic(config: PointConfig, rng: random.Random, p: int) -> list[Po
 def sample_coordinates(config: PointConfig, seed: int = 0, p: int = DEFAULT_PRIME) -> CoordinateAssignment:
     """Deterministic coordinates for the configuration over F_p."""
     validate(config)
-    if p < 5:
-        raise ValueError("prime too small")
+    check_prime(p)
     for pt in config.points:
         if config.depth_of(pt.id) > 1:
             raise UnsupportedRuleError(
@@ -204,34 +246,45 @@ def sample_coordinates(config: PointConfig, seed: int = 0, p: int = DEFAULT_PRIM
     return CoordinateAssignment(p, tuple(points))
 
 
-def _monomials(d: int) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(d, -1, -1) for b in range(d - a, -1, -1)]
+def _ncols(d: int) -> int:
+    """Number of monomials x^a y^b with a + b <= d."""
+    return (d + 1) * (d + 2) // 2
 
 
-def _mul_linear(poly: np.ndarray, c0: int, c1: int, c2: int, p: int) -> np.ndarray:
-    size = poly.shape[0] + 1
-    out = np.zeros((size, size), dtype=np.int64)
-    out[: size - 1, : size - 1] += c0 * poly
-    out[1:size, : size - 1] += c1 * poly
-    out[: size - 1, 1:size] += c2 * poly
-    return out % p
+def _graded_exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents (a, b) of the columns, by total degree e and then by b.
+
+    x^a y^b with e = a + b sits in column e(e+1)/2 + b, so the columns of
+    degree at most d are the first _ncols(d).
+    """
+    b = np.concatenate([np.arange(e + 1) for e in range(d + 1)])
+    e = np.repeat(np.arange(d + 1), np.arange(1, d + 2))
+    return e - b, b
 
 
-def _coefficient_table(
-    x0: int, y0: int, frame: tuple[int, int, int, int], d: int, p: int
-) -> list[list[np.ndarray]]:
-    """All products (x0 + dx*s + ex*t)^a (y0 + dy*s + ey*t)^b up to degree d."""
+def _binomial_powers(c: int, orders: int, d: int, p: int) -> np.ndarray:
+    """out[i, a] = C(a, i) * c^(a - i) mod p: the u^i coefficient of (c + u)^a."""
+    out = np.zeros((orders, d + 1), dtype=np.int64)
+    powers = [pow(c, e, p) for e in range(d + 1)]
+    for i in range(min(orders, d + 1)):
+        for a in range(i, d + 1):
+            out[i, a] = comb(a, i) % p * powers[a - i] % p
+    return out
+
+
+def _frame_coefficients(frame: tuple[int, int, int, int], k: int, p: int) -> list[list[int]]:
+    """out[sigma][i]: the s^sigma t^(k-sigma) coefficient of u^i v^(k-i)
+    for u = dx*s + ex*t and v = dy*s + ey*t."""
     dx, dy, ex, ey = frame
-    a_pows = [np.ones((1, 1), dtype=np.int64)]
-    for _ in range(d):
-        a_pows.append(_mul_linear(a_pows[-1], x0, dx, ex, p))
-    table: list[list[np.ndarray]] = []
-    for a in range(d + 1):
-        row = [a_pows[a]]
-        for _ in range(d - a):
-            row.append(_mul_linear(row[-1], y0, dy, ey, p))
-        table.append(row)
-    return table
+    out = [[0] * (k + 1) for _ in range(k + 1)]
+    for i in range(k + 1):
+        j = k - i
+        for alpha in range(i + 1):
+            u_part = comb(i, alpha) * pow(dx, alpha, p) * pow(ex, i - alpha, p)
+            for beta in range(j + 1):
+                v_part = comb(j, beta) * pow(dy, beta, p) * pow(ey, j - beta, p)
+                out[alpha + beta][i] = (out[alpha + beta][i] + u_part * v_part) % p
+    return out
 
 
 def _rows_for_point(
@@ -241,21 +294,32 @@ def _rows_for_point(
     d: int,
     p: int,
 ) -> np.ndarray:
-    order = _monomials(d)
-    table = _coefficient_table(location[0], location[1], frame, d, p)
-    rows = np.zeros((len(wanted), len(order)), dtype=np.int64)
-    for col, (a, b) in enumerate(order):
-        arr = table[a][b]
-        size = arr.shape[0]
-        for rix, (sigma, tau) in enumerate(wanted):
-            if sigma < size and tau < size:
-                rows[rix, col] = arr[sigma, tau]
+    """Row (sigma, tau): the s^sigma t^tau coefficient of each column monomial
+    after substituting x = x0 + dx*s + ex*t, y = y0 + dy*s + ey*t.
+
+    The substitution factors through u = x - x0, v = y - y0: the u^i v^j
+    coefficient of x^a y^b is C(a, i) x0^(a-i) C(b, j) y0^(b-j), and the
+    frame turns u^i v^j with i + j = k into a form of degree k in s and t.
+    """
+    a, b = _graded_exponents(d)
+    orders = max(sigma + tau for sigma, tau in wanted) + 1
+    x_part = _binomial_powers(location[0], orders, d, p)[:, a]
+    y_part = _binomial_powers(location[1], orders, d, p)[:, b]
+    rows = np.zeros((len(wanted), a.size), dtype=np.int64)
+    frames = {k: _frame_coefficients(frame, k, p) for k in {s + t for s, t in wanted}}
+    for rix, (sigma, tau) in enumerate(wanted):
+        k = sigma + tau
+        for i, coeff in enumerate(frames[k][sigma]):
+            if coeff:
+                taylor = x_part[i] * y_part[k - i] % p
+                rows[rix] = (rows[rix] + coeff * taylor) % p
     return rows
 
 
 def _conditions_matrix(coords: CoordinateAssignment, mults, d: int) -> np.ndarray:
+    """All point conditions on forms of degree d, one row each, columns in
+    the graded order of _graded_exponents."""
     p = coords.prime
-    ncols = (d + 2) * (d + 1) // 2
     if len(mults) != len(coords.points):
         raise ValueError("multiplicity count does not match the coordinate list")
     blocks = []
@@ -281,93 +345,118 @@ def _conditions_matrix(coords: CoordinateAssignment, mults, d: int) -> np.ndarra
             ]
             blocks.append(_rows_for_point((parent.x, parent.y), frame, wanted, d, p))
     if not blocks:
-        return np.zeros((0, ncols), dtype=np.int64)
+        return np.zeros((0, _ncols(d)), dtype=np.int64)
     return np.vstack(blocks)
 
 
 def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form mod p and its pivot columns.
+
+    Each pivot clears its column from every other row in one step.  Entries
+    stay below p < 2^31, so every product fits in int64.  Columns are taken
+    left to right and later pivot rows are zero on earlier columns, so for
+    every leading block of columns the leading rows of the result,
+    restricted to that block, are the block's own reduced echelon form.
+    """
     m = mat % p
     nrows, ncols = m.shape
     pivots: list[int] = []
-    rank = 0
     for col in range(ncols):
+        rank = len(pivots)
         if rank == nrows:
             break
-        support = np.nonzero(m[rank:, col])[0]
+        support = np.flatnonzero(m[rank:, col])
         if support.size == 0:
             continue
         lead = rank + int(support[0])
         if lead != rank:
             m[[rank, lead]] = m[[lead, rank]]
-        inv = pow(int(m[rank, col]), -1, p)
-        m[rank] = m[rank] * inv % p
-        for rix in np.nonzero(m[:, col])[0]:
-            if rix != rank:
-                m[rix] = (m[rix] - m[rix, col] * m[rank]) % p
+        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
+        others = np.flatnonzero(m[:, col])
+        others = others[others != rank]
+        if others.size:
+            m[others, col:] = (m[others, col:] - np.outer(m[others, col], m[rank, col:])) % p
         pivots.append(col)
-        rank += 1
     return m, pivots
 
 
-def _rank_modp(mat: np.ndarray, p: int) -> int:
-    if mat.shape[0] == 0:
-        return 0
-    return len(_row_reduce(mat, p)[1])
+def _free_columns(pivots: list[int], start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 that hold no pivot; pivots ascend."""
+    free = np.ones(stop, dtype=bool)
+    free[pivots[: bisect_left(pivots, stop)]] = False
+    return start + np.flatnonzero(free[start:])
 
 
-def _nullspace_modp(mat: np.ndarray, p: int) -> np.ndarray:
-    ncols = mat.shape[1]
-    if mat.shape[0] == 0:
-        return np.eye(ncols, dtype=np.int64)
-    rref, pivots = _row_reduce(mat, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for rix, pc in enumerate(pivots):
-            basis[pc, k] = (-int(rref[rix, fc])) % p
+def _nullspace_modp(rref: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
+    """Kernel basis, one column per free column, read off the leading ncols
+    columns of a reduced echelon form.  Each basis vector is 1 at its own
+    free column and 0 at the other free columns."""
+    pivots = pivots[: bisect_left(pivots, ncols)]
+    free = _free_columns(pivots, 0, ncols)
+    basis = np.zeros((ncols, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    basis[pivots, :] = (-rref[: len(pivots)][:, free]) % p
     return basis
+
+
+@dataclass(frozen=True)
+class _Eliminated:
+    """The conditions matrix up to some degree, reduced once.  By the
+    leading-block property of _row_reduce it answers every lower degree."""
+
+    rref: np.ndarray
+    pivots: list[int]
+    prime: int
+
+    def hilbert(self, d: int) -> int:
+        """Dimension of the degree-d forms satisfying all conditions."""
+        ncols = _ncols(d)
+        return ncols - bisect_left(self.pivots, ncols)
+
+    def generators(self, d: int) -> int:
+        """Minimal generators in degree d.
+
+        They number h(d) less the dimension of the span of x*K, y*K and K in
+        degree d, K the degree d-1 kernel.  A kernel vector is fixed by its
+        free coordinates, and K is the identity on the free columns of
+        degree below d, which stay free in degree d; so the span's dimension
+        is dim K plus the rank of x*K and y*K on the new free columns.
+        """
+        if d <= 0:
+            return self.hilbert(0) if d == 0 else 0
+        low, high = _ncols(d - 1), _ncols(d)
+        new_free = _free_columns(self.pivots, low, high) - low
+        if new_free.size == 0:
+            return 0
+        kernel = _nullspace_modp(self.rref, self.pivots, low, self.prime)
+        # x^a y^b of degree d-1 is column offset b among its degree; times x
+        # it lands at offset b of degree d, times y at offset b + 1
+        top = kernel[_ncols(d - 2):].T
+        shifted = np.zeros((2 * top.shape[0], d + 1), dtype=np.int64)
+        shifted[: top.shape[0], :d] = top
+        shifted[top.shape[0]:, 1:] = top
+        return new_free.size - len(_row_reduce(shifted[:, new_free], self.prime)[1])
+
+
+def _eliminate(coords: CoordinateAssignment, mults, d: int) -> _Eliminated:
+    p = coords.prime
+    if p <= d:
+        raise ValueError(f"prime {p} does not exceed the degree {d}")
+    return _Eliminated(*_row_reduce(_conditions_matrix(coords, mults, d), p), p)
 
 
 def hilbert_oracle(coords: CoordinateAssignment, mults, d: int) -> int:
     """Dimension of the degree-d forms satisfying all point conditions."""
     if d < 0:
         return 0
-    p = coords.prime
-    if p <= d:
-        raise ValueError(f"prime {p} does not exceed the degree {d}")
-    mat = _conditions_matrix(coords, mults, d)
-    ncols = (d + 2) * (d + 1) // 2
-    return ncols - _rank_modp(mat, p)
+    return _eliminate(coords, mults, d).hilbert(d)
 
 
 def nu_oracle(coords: CoordinateAssignment, mults, d: int) -> int:
     """Minimal generators of the conditions ideal in degree d+1."""
     if d < -1:
         return 0
-    if d == -1:
-        return hilbert_oracle(coords, mults, 0)
-    p = coords.prime
-    if p <= d + 1:
-        raise ValueError(f"prime {p} does not exceed the degree {d + 1}")
-    kernel = _nullspace_modp(_conditions_matrix(coords, mults, d), p)
-    h_up = hilbert_oracle(coords, mults, d + 1)
-    if kernel.shape[1] == 0:
-        return h_up
-    order_d = _monomials(d)
-    index_up = {mon: i for i, mon in enumerate(_monomials(d + 1))}
-    ncols_up = (d + 3) * (d + 2) // 2
-    span = np.zeros((3 * kernel.shape[1], ncols_up), dtype=np.int64)
-    for j in range(kernel.shape[1]):
-        for row_d, (a, b) in enumerate(order_d):
-            c = int(kernel[row_d, j])
-            if not c:
-                continue
-            span[3 * j, index_up[(a + 1, b)]] = c
-            span[3 * j + 1, index_up[(a, b + 1)]] = c
-            span[3 * j + 2, index_up[(a, b)]] = c
-    return h_up - _rank_modp(span, p)
+    return _eliminate(coords, mults, d + 1).generators(d + 1)
 
 
 @dataclass(frozen=True)
@@ -400,6 +489,7 @@ def oracle_report(
     max_degree: int | None = None,
 ) -> OracleReport:
     """Compare oracle and pipeline values across the interesting degrees."""
+    check_prime(p)
     check_proximity(scheme)
     context = make_context(scheme.config)
     top = max_degree if max_degree is not None else regularity_bound(scheme) + 1
@@ -407,10 +497,10 @@ def oracle_report(
     if p <= 2 * top + 1:
         raise ValueError(f"prime {p} too small for degrees up to {top}")
     coords = sample_coordinates(scheme.config, seed, p)
-    mults = scheme.multiplicities
     degrees = tuple(range(top + 1))
-    h_values = tuple(hilbert_oracle(coords, mults, d) for d in degrees)
-    nu_values = tuple(nu_oracle(coords, mults, d - 1) for d in degrees)
+    reduced = _eliminate(coords, scheme.multiplicities, top)
+    h_values = tuple(reduced.hilbert(d) for d in degrees)
+    nu_values = tuple(reduced.generators(d) for d in degrees)
     pipeline_h = tuple(h0_any(scheme.to_class(d), context).h0 for d in degrees)
     pipeline_nu = tuple(s_dim(scheme, d - 1, context).value for d in degrees)
     return OracleReport(p, seed, degrees, h_values, nu_values, pipeline_h, pipeline_nu)
@@ -421,6 +511,7 @@ __all__ = [
     "DEFAULT_PRIME",
     "OracleReport",
     "PointCoordinates",
+    "check_prime",
     "hilbert_oracle",
     "nu_oracle",
     "oracle_report",

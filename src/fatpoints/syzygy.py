@@ -14,7 +14,6 @@ from .configuration import (
     FatPointScheme,
     ProximityMatrix,
     UnsupportedRuleError,
-    check_proximity,
 )
 from .lattice import (
     ClassVector,
@@ -141,7 +140,7 @@ def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) ->
     """Number of minimal syzygies in degree d+1 of the scheme's ideal."""
     if context is None:
         context = make_context(scheme.config)
-    check_proximity(scheme)
+    # regularity_bound checks the proximity inequalities first
     if d > regularity_bound(scheme):
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
     f = scheme.to_class(d)

@@ -28,8 +28,8 @@ from .negcurves import (
     KIND_EXCEPTIONAL,
     KIND_LINE,
     NegativeCurve,
-    enumerate_negative_curves,
     flex_candidate_fixed_classes,
+    negative_curves,
 )
 
 RULE_NEGATIVE_PAIRING = "negative-pairing"
@@ -102,7 +102,7 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
     if kind == "cubic_flex":
         candidates = list(flex_candidate_fixed_classes(config.r))
     elif kind in ("line", "conic"):
-        candidates = list(enumerate_negative_curves(config))
+        candidates = list(negative_curves(config))
         if config.r == 1:
             # The line through a single point has square zero, so the
             # enumeration omits it, but a class can still be cut down by it (a

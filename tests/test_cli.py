@@ -170,6 +170,24 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize("prime", ["4294967311", "32001"])
+def test_oracle_check_rejects_bad_prime(capsys, prime):
+    code, out, err = run_cli(
+        capsys, ["oracle-check", GOLDEN, "--prime", prime, "--format", "machine"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [prime-range]") and prime in err
+
+
+def test_oracle_check_largest_prime(capsys):
+    code, out, _ = run_cli(
+        capsys, ["oracle-check", GOLDEN, "--prime", str(2**31 - 1), "--format", "machine"]
+    )
+    assert code == 0
+    assert json.loads(out)["agree"] is True
+
+
 def test_missing_file_exit_one(capsys):
     code, _, err = run_cli(capsys, ["resolve", "/does/not/exist.json"])
     assert code == 1

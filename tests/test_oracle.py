@@ -1,7 +1,9 @@
 import random
 
 import pytest
+import sympy
 
+from fatpoints.cohomology import regularity_bound
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -9,9 +11,11 @@ from fatpoints.configuration import (
     Point,
     PointConfig,
     UnsupportedRuleError,
+    ValidationError,
 )
 from fatpoints.oracle import (
     DEFAULT_PRIME,
+    check_prime,
     hilbert_oracle,
     nu_oracle,
     oracle_report,
@@ -193,3 +197,134 @@ def test_near_point_over_node_follows_its_component():
 def test_prime_bound_enforced():
     with pytest.raises(ValueError):
         oracle_report(LINE_321, seed=0, p=11)
+
+
+@pytest.mark.parametrize("p", [4294967311, 32001, 2**31, 4, 2047, 1373653, 25326001])
+def test_prime_rule_rejects(p):
+    # 2047, 1373653 and 25326001 are strong pseudoprimes to the bases 2, 2-3
+    # and 2-3-5; only the base 7 round catches the last
+    with pytest.raises(ValidationError) as err:
+        oracle_report(GOLDEN_SCHEME, seed=0, p=p, max_degree=3)
+    assert err.value.rule == "prime-range"
+    assert str(p) in str(err.value)
+
+
+def test_prime_rule_matches_sympy():
+    rng = random.Random(31)
+    samples = list(range(5, 2000)) + [rng.randrange(2**31) for _ in range(2000)]
+    for n in samples + [2**31 - 1, 2**31 - 19]:
+        try:
+            check_prime(n)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == (n >= 5 and sympy.isprime(n)), n
+
+
+def test_largest_prime_agrees_on_golden_conic():
+    top = regularity_bound(GOLDEN_SCHEME) + 2
+    for seed in range(3):
+        rep = oracle_report(GOLDEN_SCHEME, seed=seed, p=2**31 - 1, max_degree=top)
+        assert rep.all_agree, seed
+
+
+def assert_family_agrees(make_scheme, runs, rng_seed):
+    """Seeded oracle agreement through regularity + 2, as in criterion 3."""
+    rng = random.Random(rng_seed)
+    for seed in range(runs):
+        scheme = make_scheme(rng)
+        rep = oracle_report(scheme, seed=seed, max_degree=regularity_bound(scheme) + 2)
+        assert rep.all_agree, (seed, scheme)
+
+
+def descending(rng, r, hi):
+    return sorted((rng.randint(1, hi) for _ in range(r)), reverse=True)
+
+
+def with_near_points(rng, r, hi):
+    """r proper points and first-order near points over a random subset of
+    them; returns the points and the multiplicities."""
+    mults = descending(rng, r, hi)
+    points = [Point(i) for i in range(1, r + 1)]
+    for parent in sorted(rng.sample(range(1, r + 1), rng.randint(1, r))):
+        points.append(Point(len(points) + 1, parent=parent))
+        mults.append(rng.randint(1, mults[parent - 1]))
+    return tuple(points), tuple(mults)
+
+
+def test_two_lines_oracle_family():
+    def make(rng):
+        node = bool(rng.randrange(2))
+        na, nb = rng.randint(2, 4), rng.randint(2, 4)
+        first = 2 if node else 1
+        line_a = ([1] if node else []) + list(range(first, first + na))
+        line_b = ([1] if node else []) + list(range(first + na, first + na + nb))
+        r = line_b[-1]
+        mults = [rng.randint(1, 3) for _ in range(r)]
+        points = [Point(i) for i in range(1, r + 1)]
+        if rng.randrange(2):
+            host = line_a if rng.randrange(2) else line_b
+            parent = rng.choice(host)
+            points.append(Point(r + 1, parent=parent))
+            host.append(r + 1)
+            mults.append(rng.randint(1, mults[parent - 1]))
+        cfg = PointConfig(
+            curve_kind="conic",
+            points=tuple(points),
+            lines=(tuple(line_a), tuple(line_b)),
+            conic_shape=ConicShape("two_lines", line_a=0, line_b=1),
+        )
+        return FatPointScheme(cfg, tuple(mults))
+
+    assert_family_agrees(make, 40, 2001)
+
+
+def test_double_line_oracle_family():
+    def make(rng):
+        r = rng.randint(1, 5)
+        if rng.randrange(2):
+            points, mults = with_near_points(rng, r, 3)
+        else:
+            points, mults = tuple(Point(i) for i in range(1, r + 1)), tuple(descending(rng, r, 3))
+        cfg = PointConfig(
+            curve_kind="conic",
+            points=points,
+            lines=(tuple(range(1, len(points) + 1)),),
+            conic_shape=ConicShape("double_line", line_a=0),
+        )
+        return FatPointScheme(cfg, mults)
+
+    assert_family_agrees(make, 40, 2002)
+
+
+def test_line_near_point_oracle_family():
+    def make(rng):
+        points, mults = with_near_points(rng, rng.randint(1, 4), 4)
+        cfg = PointConfig(
+            curve_kind="line", points=points, lines=(tuple(range(1, len(points) + 1)),)
+        )
+        return FatPointScheme(cfg, mults)
+
+    assert_family_agrees(make, 40, 2003)
+
+
+def test_smooth_conic_near_point_oracle_family():
+    def make(rng):
+        points, mults = with_near_points(rng, rng.randint(1, 5), 3)
+        cfg = PointConfig(curve_kind="conic", points=points, conic_shape=ConicShape("smooth"))
+        return FatPointScheme(cfg, mults)
+
+    assert_family_agrees(make, 40, 2004)
+
+
+def test_uniform_cubic_oracle_family():
+    def make(rng):
+        r = rng.randint(9, 12)
+        cfg = PointConfig(
+            curve_kind="cubic_uniform",
+            points=tuple(Point(i) for i in range(1, r + 1)),
+            lambda_spec=LambdaSpec("trivial"),
+        )
+        return FatPointScheme(cfg, (rng.randint(1, 2),) * r)
+
+    assert_family_agrees(make, 40, 2005)
