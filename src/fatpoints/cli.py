@@ -225,6 +225,7 @@ def _module_json(module: GradedFreeModule) -> list[list[int]]:
 def _trace_json(trace) -> list[dict]:
     return [
         {
+            "copies": step.copies,
             "kind": step.kind,
             "label": step.label,
             "pairing": step.pairing,
@@ -374,10 +375,7 @@ def _run_zariski(spec: RunSpec) -> int:
     if trace:
         print("subtractions:")
         for n, step in enumerate(trace, start=1):
-            print(
-                f"  {n}. {step.subtracted} [{step.label}] "
-                f"pairing {step.pairing} rule {step.rule}"
-            )
+            print(f"  {n}. {step} pairing {step.pairing} rule {step.rule}")
     return 0
 
 

@@ -535,6 +535,9 @@ def line_partition_data(multiplicities: tuple[int, ...]) -> PartitionData:
     if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
         raise ValueError("line partition data needs descending multiplicities")
     mu = conjugate_partition(m)
-    m1 = m[0]
-    a = tuple((i - 1) + sum(mu[i - 1 :]) for i in range(1, m1 + 1))
-    return PartitionData(mu, a)
+    a = []
+    tail = sum(mu)  # mu_i + ... + mu_{m1}, kept running from i = 1
+    for i, mu_i in enumerate(mu):
+        a.append(i + tail)
+        tail -= mu_i
+    return PartitionData(mu, tuple(a))

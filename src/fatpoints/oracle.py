@@ -28,11 +28,11 @@ from .configuration import (
     PointConfig,
     UnsupportedRuleError,
     ValidationError,
-    check_proximity,
     validate,
 )
-from .cohomology import h0_any, make_context, regularity_bound
-from .syzygy import s_dim
+from .cohomology import make_context, regularity_bound
+from .resolution import degree_table
+from .syzygy import generator_counts
 
 DEFAULT_PRIME = 32003
 _PRIME_LIMIT = 1 << 31
@@ -217,6 +217,11 @@ def sample_coordinates(config: PointConfig, seed: int = 0, p: int = DEFAULT_PRIM
     """Deterministic coordinates for the configuration over F_p."""
     validate(config)
     check_prime(p)
+    return _sample(config, seed, p)
+
+
+def _sample(config: PointConfig, seed: int, p: int) -> CoordinateAssignment:
+    """``sample_coordinates`` for a configuration and prime already checked."""
     for pt in config.points:
         if config.depth_of(pt.id) > 1:
             raise UnsupportedRuleError(
@@ -490,19 +495,21 @@ def oracle_report(
 ) -> OracleReport:
     """Compare oracle and pipeline values across the interesting degrees."""
     check_prime(p)
-    check_proximity(scheme)
+    # regularity_bound checks the proximity inequalities first
+    reg = regularity_bound(scheme)
     context = make_context(scheme.config)
-    top = max_degree if max_degree is not None else regularity_bound(scheme) + 1
+    top = max_degree if max_degree is not None else reg + 1
     top = max(top, 0)
     if p <= 2 * top + 1:
         raise ValueError(f"prime {p} too small for degrees up to {top}")
-    coords = sample_coordinates(scheme.config, seed, p)
+    coords = _sample(scheme.config, seed, p)
     degrees = tuple(range(top + 1))
     reduced = _eliminate(coords, scheme.multiplicities, top)
     h_values = tuple(reduced.hilbert(d) for d in degrees)
     nu_values = tuple(reduced.generators(d) for d in degrees)
-    pipeline_h = tuple(h0_any(scheme.to_class(d), context).h0 for d in degrees)
-    pipeline_nu = tuple(s_dim(scheme, d - 1, context).value for d in degrees)
+    table = degree_table(scheme, context, top)
+    pipeline_h = tuple(answer.h0 for answer, _ in table)
+    pipeline_nu = tuple(count.value for count in generator_counts(table, context, reg))
     return OracleReport(p, seed, degrees, h_values, nu_values, pipeline_h, pipeline_nu)
 
 

@@ -8,6 +8,7 @@ form, kept separate so the two routes can check each other.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -17,12 +18,14 @@ from .configuration import (
     line_partition_data,
 )
 from .cohomology import (
+    CaseContext,
+    CohomologyAnswer,
     h0_with_decomposition,
     make_context,
     regularity_bound,
 )
-from .syzygy import s_dim
-from .zariski import NotEffective
+from .syzygy import generator_counts
+from .zariski import NotEffective, ZariskiDecomposition
 
 
 def binom2(a: int) -> int:
@@ -119,35 +122,34 @@ def hilbert_function(scheme: FatPointScheme, d: int) -> int:
     return answer.h0
 
 
+def degree_table(
+    scheme: FatPointScheme, context: CaseContext, top: int
+) -> list[tuple[CohomologyAnswer, ZariskiDecomposition | NotEffective]]:
+    """``h0_with_decomposition`` of the scheme's class in each degree 0..top:
+    the one decomposition per degree that section and generator counts share."""
+    return [h0_with_decomposition(scheme.to_class(d), context) for d in range(top + 1)]
+
+
 def resolve(scheme: FatPointScheme) -> ResolutionReport:
     """Hilbert function, generator degrees, and both resolution modules."""
-    check_proximity(scheme)
-    context = make_context(scheme.config)
+    # regularity_bound checks the proximity inequalities first
     reg = regularity_bound(scheme)
+    context = make_context(scheme.config)
     cutoff = reg + 2
     top = cutoff + 3
 
-    h_ext: list[int] = []
-    decs = []
-    notes = []
-    for d in range(top + 1):
-        answer, dec = h0_with_decomposition(scheme.to_class(d), context)
-        h_ext.append(answer.h0)
-        decs.append(dec)
-        notes.append(answer.notes)
-
-    nu: list[int] = []
-    traces: list[DegreeTrace] = []
-    for d in range(cutoff + 1):
-        count = s_dim(scheme, d - 1, context)
-        nu.append(count.value)
-        dec = decs[d]
-        subtracted = tuple(
-            f"{step.subtracted} [{step.label}]" for step in dec.trace
+    table = degree_table(scheme, context, top)
+    h_ext = [answer.h0 for answer, _ in table]
+    counts = generator_counts(table, context, reg)[: cutoff + 1]
+    nu = [count.value for count in counts]
+    traces = tuple(
+        DegreeTrace(
+            d,
+            tuple(str(step) for step in dec.trace),
+            answer.notes + (f"generator rule: {count.rule}",),
         )
-        traces.append(
-            DegreeTrace(d, subtracted, notes[d] + (f"generator rule: {count.rule}",))
-        )
+        for d, ((answer, dec), count) in enumerate(zip(table, counts))
+    )
 
     alpha = next((d for d, v in enumerate(h_ext) if v > 0), None)
     if alpha is None or alpha > cutoff:
@@ -175,7 +177,7 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
         tuple(nu),
         f0,
         f1,
-        tuple(traces),
+        traces,
         reg,
         cutoff,
     )
@@ -184,21 +186,27 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
 def line_hilbert_direct(multiplicities: Sequence[int], n: int) -> int:
     """Closed-form Hilbert value for collinear points, one term per generator."""
     data = line_partition_data(multiplicities)
-    m1 = multiplicities[0]
-    return binom2(n - m1 + 2) + sum(
-        binom2(n - ai + 2) - binom2(n - ai + 1) for ai in data.a
-    )
+    return _line_direct(multiplicities[0], Counter(data.a), n)
 
 
 def line_hilbert_condensed(multiplicities: Sequence[int], n: int) -> int:
     """Closed-form Hilbert value for collinear points, top block merged."""
     data = line_partition_data(multiplicities)
+    return _line_condensed(multiplicities, data.a, n)
+
+
+def _line_direct(m1: int, a_counts: Counter[int], n: int) -> int:
+    # generators of equal degree a_i share one term, weighted by their count
+    return binom2(n - m1 + 2) + sum(
+        count * (binom2(n - ai + 2) - binom2(n - ai + 1)) for ai, count in a_counts.items()
+    )
+
+
+def _line_condensed(multiplicities: Sequence[int], a: Sequence[int], n: int) -> int:
     m1 = multiplicities[0]
     m2 = multiplicities[1] if len(multiplicities) >= 2 else 0
     head = (m1 - m2 + 1) * binom2(n - m1 + 2) - (m1 - m2) * binom2(n - m1 + 1)
-    return head + sum(
-        binom2(n - data.a[i] + 2) - binom2(n - data.a[i] + 1) for i in range(m2)
-    )
+    return head + sum(binom2(n - a[i] + 2) - binom2(n - a[i] + 1) for i in range(m2))
 
 
 def resolve_line_closed_form(scheme: FatPointScheme) -> ResolutionReport:
@@ -215,27 +223,25 @@ def resolve_line_closed_form(scheme: FatPointScheme) -> ResolutionReport:
     mults = scheme.multiplicities
     data = line_partition_data(mults)
     m1 = mults[0]
+    a_counts = Counter(data.a)
 
-    f0_shifts: dict[int, int] = {m1: 1}
-    for ai in data.a:
-        f0_shifts[ai] = f0_shifts.get(ai, 0) + 1
-    f1_shifts: dict[int, int] = {}
-    for ai in data.a:
-        f1_shifts[ai + 1] = f1_shifts.get(ai + 1, 0) + 1
-    f0 = GradedFreeModule(f0_shifts)
-    f1 = GradedFreeModule(f1_shifts)
+    f0_shifts = Counter({m1: 1}) + a_counts
+    f1_shifts = Counter({ai + 1: count for ai, count in a_counts.items()})
+    f0 = GradedFreeModule(dict(f0_shifts))
+    f1 = GradedFreeModule(dict(f1_shifts))
 
     reg = sum(mults) - 1
     cutoff = reg + 2
-    h = tuple(line_hilbert_direct(mults, n) for n in range(cutoff + 1))
+    h = []
     for n in range(cutoff + 4):
-        direct = line_hilbert_direct(mults, n)
-        if direct != line_hilbert_condensed(mults, n):
+        direct = _line_direct(m1, a_counts, n)
+        if direct != _line_condensed(mults, data.a, n):
             raise RuntimeError(f"internal error: the two line formulas split at {n}")
         if f0.hilbert(n) - f1.hilbert(n) != direct:
             raise RuntimeError(f"internal error: Hilbert identity fails at degree {n}")
+        h.append(direct)
     nu = tuple(f0.shifts.get(d, 0) for d in range(cutoff + 1))
-    return ResolutionReport(m1, h, nu, f0, f1, (), reg, cutoff)
+    return ResolutionReport(m1, tuple(h[: cutoff + 1]), nu, f0, f1, (), reg, cutoff)
 
 
 __all__ = [
@@ -243,6 +249,7 @@ __all__ = [
     "GradedFreeModule",
     "ResolutionReport",
     "binom2",
+    "degree_table",
     "free_module_from_hilbert",
     "hilbert_function",
     "line_hilbert_direct",

@@ -8,6 +8,7 @@ fixed-part bookkeeping identity reduces to the nef answer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .configuration import (
@@ -24,15 +25,27 @@ from .lattice import (
 )
 from .cohomology import (
     CaseContext,
+    CohomologyAnswer,
+    chi,
     h0_any,
+    h0_with_decomposition,
     make_context,
     regularity_bound,
 )
-from .zariski import NotEffective, kernel_multiple_data, zariski_decompose
+from .zariski import (
+    NotEffective,
+    ZariskiDecomposition,
+    kernel_multiple_data,
+)
+
+Decomposition = ZariskiDecomposition | NotEffective
 
 RULE_BEYOND_REGULARITY = "beyond-regularity"
 RULE_INITIAL_GENERATORS = "initial-generators"
 RULE_FLEX_COMPOSITE = "flex-composite"
+
+# No class of negative degree is effective.
+_BELOW_ZERO = NotEffective("negative degree", ())
 
 
 @dataclass(frozen=True)
@@ -141,20 +154,51 @@ def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) ->
     if context is None:
         context = make_context(scheme.config)
     # regularity_bound checks the proximity inequalities first
-    if d > regularity_bound(scheme):
+    reg = regularity_bound(scheme)
+    if d > reg:
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
-    f = scheme.to_class(d)
     up = h0_any(scheme.to_class(d + 1), context).h0
-    dec = zariski_decompose(f, context)
+    _, dec = h0_with_decomposition(scheme.to_class(d), context)
+    return _generator_count(d, dec, up, context, reg)
+
+
+def generator_counts(
+    table: Sequence[tuple[CohomologyAnswer, Decomposition]],
+    context: CaseContext,
+    reg: int,
+) -> tuple[SyzygyAnswer, ...]:
+    """Minimal generators in each degree d of a table whose entry d is
+    ``h0_with_decomposition`` of the scheme's degree-d class.
+
+    The count in degree d is ``s_dim`` at d - 1; below degree zero no class
+    is effective.
+    """
+    decs = [_BELOW_ZERO] + [dec for _, dec in table]
+    return tuple(
+        _generator_count(d - 1, decs[d], answer.h0, context, reg)
+        for d, (answer, _) in enumerate(table)
+    )
+
+
+def _generator_count(
+    d: int, dec: Decomposition, up: int, context: CaseContext, reg: int
+) -> SyzygyAnswer:
+    """Syzygies in degree d+1 from the degree-d decomposition ``dec``, the
+    sections ``up`` in degree d+1, and the regularity bound ``reg``."""
+    if d > reg:
+        return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
     if isinstance(dec, NotEffective):
         return SyzygyAnswer(up, RULE_INITIAL_GENERATORS)
     moving = dec.moving
     base = _moving_syzygies(moving, context)
-    moving_up = h0_any(moving + e0_class(moving.r), context).h0
+    # moving + e0 is nef and regular: on a line or conic every nef class is,
+    # and on the cubic it has restriction degree at least 3, where the cubic
+    # rules give h1 = 0 too.  So its sections are chi, with no decomposition.
+    moving_up = chi(moving + e0_class(moving.r))
     value = base.value + up - moving_up
     if value < 0:
         raise RuntimeError(f"internal error: negative syzygy count at degree {d}")
-    rule = base.rule if moving == f else base.rule + "+fixed-part"
+    rule = base.rule if dec.fixed.is_zero() else base.rule + "+fixed-part"
     return SyzygyAnswer(value, rule)
 
 
@@ -175,6 +219,7 @@ def s_vanish_by_degree(f: ClassVector, g: ClassVector, prox: ProximityMatrix) ->
 
 __all__ = [
     "SyzygyAnswer",
+    "generator_counts",
     "s_dim",
     "s_of_nef",
     "s_vanish_by_degree",

@@ -5,9 +5,10 @@ its decompositions subtract.  The conic, line, and flex cases run a
 subtraction loop against those candidates; the uniform-cubic case follows the
 closed-form rule in ``uniform_cubic_rule``, which decides effectivity, the
 fixed anticanonical multiple and the kernel's extra sections directly.  Each
-subtraction records a certificate (the negative pairing that forced it), and
-an ample-degree potential bounds the iteration so a bad candidate list fails
-loudly instead of spinning.
+subtraction takes every forced copy of one class at once and records a
+certificate (the negative pairing that forced the first copy and the square
+by which each copy raises it), and an ample-degree potential bounds the
+iteration so a bad candidate list fails loudly instead of spinning.
 """
 
 from __future__ import annotations
@@ -40,12 +41,23 @@ RULE_UNIFORM_EXCEPTIONAL = "uniform-negative-multiplicity"
 
 @dataclass(frozen=True)
 class SubtractionStep:
+    """``copies`` copies of ``subtracted`` taken off at once.
+
+    ``pairing`` is the pairing of the class before the step with
+    ``subtracted``; each copy subtracts ``square`` from it.
+    """
+
     subtracted: ClassVector
     kind: str
     label: str
     pairing: int
     square: int
     rule: str
+    copies: int
+
+    def __str__(self) -> str:
+        text = f"{self.subtracted} [{self.label}]"
+        return f"{self.copies} × {text}" if self.copies > 1 else text
 
 
 @dataclass(frozen=True)
@@ -94,21 +106,28 @@ def _ample_witness(r: int) -> ClassVector:
 def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
     """The classes the subtraction loop tries, in order, for a valid config.
 
-    Lines and conics subtract their enumerated negative curves, flex chains
-    the classes dual to the nef basis.  The uniform cubic needs none.
+    Lines and conics subtract the pencils of lines through their proper
+    points and their enumerated negative curves, flex chains the classes
+    dual to the nef basis.  The uniform cubic needs none.
     """
     kind = config.curve_kind
     candidates = []
     if kind == "cubic_flex":
         candidates = list(flex_candidate_fixed_classes(config.r))
     elif kind in ("line", "conic"):
-        candidates = list(negative_curves(config))
-        if config.r == 1:
-            # The line through a single point has square zero, so the
-            # enumeration omits it, but a class can still be cut down by it (a
-            # fat point of multiplicity above the degree is not effective).
-            singleton = e0_class(1) - exceptional_class(1, 1)
-            candidates.append(NegativeCurve(singleton, KIND_LINE, "L(1)"))
+        # The lines through a proper point form a pencil of square zero, so
+        # the enumeration omits it.  The pencil is nef, so a class meeting it
+        # negatively is not effective (a fat point of multiplicity above the
+        # degree), and its copies drive the degree negative in one step.  It
+        # comes first: past it, a line and an exceptional class would trade
+        # single copies until the degree turned negative.
+        r = config.r
+        candidates = [
+            NegativeCurve(e0_class(r) - exceptional_class(pt.id, r), KIND_LINE, f"L({pt.id})")
+            for pt in config.points
+            if pt.parent is None
+        ]
+        candidates.extend(negative_curves(config))
     ample = _ample_witness(config.r)
     for entry in candidates:
         if intersect(ample, entry.cls) < 1:
@@ -153,6 +172,28 @@ def is_nef(f: ClassVector, context: CaseContext) -> bool:
     return all(intersect(f, entry.cls) >= 0 for entry in context.candidates)
 
 
+def _forced_step(
+    current: ClassVector,
+    cls: ClassVector,
+    kind: str,
+    label: str,
+    pairing: int,
+    rule: str,
+) -> SubtractionStep:
+    """Every copy of ``cls`` that its negative ``pairing`` with ``current``
+    forces into the fixed part."""
+    square = cls.square()
+    if square < 0:
+        # each copy raises the pairing by -square, and a copy is forced while
+        # the pairing before it is negative: ceil(pairing / square) copies
+        copies = -(pairing // -square)
+    else:
+        # a pencil of lines through a point has square zero, so its pairing
+        # never rises: copies come off until the degree turns negative
+        copies = current.d // cls.d + 1
+    return SubtractionStep(cls, kind, label, pairing, square, rule, copies)
+
+
 def zariski_decompose(
     f: ClassVector, context: CaseContext
 ) -> ZariskiDecomposition | NotEffective:
@@ -179,31 +220,28 @@ def zariski_decompose(
                 tuple(steps),
             )
         step = None
-        if forced_cubic and intersect(minus_k, current) < 0:
-            step = SubtractionStep(
-                minus_k,
-                KIND_CUBIC,
-                "D",
-                intersect(minus_k, current),
-                minus_k.square(),
-                RULE_FORCED_CUBIC,
-            )
+        if forced_cubic:
+            pairing = intersect(minus_k, current)
+            if pairing < 0:
+                step = _forced_step(
+                    current, minus_k, KIND_CUBIC, "D", pairing, RULE_FORCED_CUBIC
+                )
         if step is None:
             for entry in context.candidates:
                 pairing = intersect(current, entry.cls)
                 if pairing < 0:
-                    step = SubtractionStep(
+                    step = _forced_step(
+                        current,
                         entry.cls,
                         entry.kind,
                         entry.label,
                         pairing,
-                        entry.cls.square(),
                         RULE_NEGATIVE_PAIRING,
                     )
                     break
         if step is None:
             break
-        current = current - step.subtracted
+        current = current - step.copies * step.subtracted
         steps.append(step)
         next_potential = intersect(current, ample)
         if next_potential >= potential:
@@ -233,22 +271,22 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
     steps: list[SubtractionStep] = []
     current = f
     if m < 0:
-        # Negative multiplicities just stack copies of the exceptional
-        # divisors on the fixed part.
-        for _ in range(-m):
-            for i in range(1, r + 1):
-                e_i = exceptional_class(i, r)
-                steps.append(
-                    SubtractionStep(
-                        e_i,
-                        KIND_EXCEPTIONAL,
-                        f"E{i}",
-                        intersect(current, e_i),
-                        e_i.square(),
-                        RULE_UNIFORM_EXCEPTIONAL,
-                    )
+        # Negative multiplicities just stack -m copies of each exceptional
+        # divisor on the fixed part.
+        for i in range(1, r + 1):
+            e_i = exceptional_class(i, r)
+            steps.append(
+                SubtractionStep(
+                    e_i,
+                    KIND_EXCEPTIONAL,
+                    f"E{i}",
+                    intersect(current, e_i),
+                    e_i.square(),
+                    RULE_UNIFORM_EXCEPTIONAL,
+                    -m,
                 )
-                current = current - e_i
+            )
+            current = current + m * e_i
         m = 0
     t = current.d - 3 * m
     if t < 0:
@@ -284,8 +322,8 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
                 count += 1
                 notes = (f"fixed part is {count} copies of the cubic",)
 
-    minus_k = -canonical_class(r)
-    for _ in range(count):
+    if count:
+        minus_k = -canonical_class(r)
         steps.append(
             SubtractionStep(
                 minus_k,
@@ -294,9 +332,10 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
                 intersect(minus_k, current),
                 minus_k.square(),
                 RULE_UNIFORM_CUBIC,
+                count,
             )
         )
-        current = current - minus_k
+        current = current - count * minus_k
     decomposition = ZariskiDecomposition(current, f - current, tuple(steps))
     return UniformCubicAnswer(decomposition, extra, notes)
 

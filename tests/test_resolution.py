@@ -1,8 +1,13 @@
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from fatpoints import zariski
+from fatpoints.cli import parse_config
+from fatpoints.cohomology import make_context
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -20,6 +25,10 @@ from fatpoints.resolution import (
     resolve,
     resolve_line_closed_form,
 )
+from fatpoints.lattice import ClassVector
+from fatpoints.syzygy import s_dim
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN_CONIC = PointConfig(
     curve_kind="conic",
@@ -163,3 +172,80 @@ def test_empty_scheme_resolves_to_ring():
     assert report.f0 == GradedFreeModule({0: 1})
     assert report.f1.rank() == 0
     assert report.alpha == 0
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """The classes passed to zariski_decompose, wherever the package calls it."""
+    calls = []
+    original = zariski.zariski_decompose
+
+    def counted(f, context):
+        calls.append(f)
+        return original(f, context)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fatpoints") and getattr(module, "zariski_decompose", None) is original:
+            monkeypatch.setattr(module, "zariski_decompose", counted)
+    return calls
+
+
+def test_resolve_decomposes_each_degree_once(decompositions):
+    smooth = PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, 13)),
+        conic_shape=ConicShape("smooth"),
+    )
+    _, golden = parse_config(str(ROOT / "configs" / "conic_example.json"))
+    for scheme in (golden, FatPointScheme(smooth, (5,) * 12)):
+        decompositions.clear()
+        report = resolve(scheme)
+        assert 0 < len(decompositions) <= report.cutoff + 4
+
+
+def test_resolve_counts_match_s_dim():
+    """The table resolve builds and the public s_dim give the same counts."""
+    flex = PointConfig(
+        curve_kind="cubic_flex",
+        points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, 11)),
+    )
+    uniform = PointConfig(
+        curve_kind="cubic_uniform",
+        points=tuple(Point(i) for i in range(1, 11)),
+        lambda_spec=LambdaSpec("trivial"),
+    )
+    schemes = (
+        GOLDEN_SCHEME,
+        line_scheme((5, 3, 1)),
+        FatPointScheme(flex, (3, 3, 2, 2, 2, 1, 1, 1, 1, 1)),
+        FatPointScheme(uniform, (2,) * 10),
+    )
+    for scheme in schemes:
+        report = resolve(scheme)
+        ctx = make_context(scheme.config)
+        for d, trace in enumerate(report.traces):
+            count = s_dim(scheme, d - 1, ctx)
+            assert count.value == report.nu[d]
+            assert f"generator rule: {count.rule}" in trace.rules
+
+
+def test_subtraction_steps_do_not_grow_with_multiplicity():
+    lengths = []
+    for m1 in (30, 3000):
+        ctx = make_context(line_scheme((m1, m1)).config)
+        # sheds m1 - 5 copies of the line through both points
+        dec = zariski.zariski_decompose(ClassVector(m1 + 5, (m1, m1)), ctx)
+        assert dec.moving == ClassVector(10, (5, 5))
+        # a point of multiplicity above the degree: not effective
+        low = zariski.zariski_decompose(ClassVector(m1 - 1, (m1, 2)), ctx)
+        assert isinstance(low, zariski.NotEffective)
+        lengths.append((len(dec.trace), len(low.trace)))
+    assert lengths[0] == lengths[1]
+
+
+def test_line_3000_resolves_like_closed_form():
+    scheme = line_scheme((3000, 2))
+    closed = resolve_line_closed_form(scheme)
+    pipeline = resolve(scheme)
+    assert (pipeline.alpha, pipeline.h, pipeline.nu) == (closed.alpha, closed.h, closed.nu)
+    assert (pipeline.f0, pipeline.f1) == (closed.f0, closed.f1)

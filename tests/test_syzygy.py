@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from fatpoints.cohomology import make_context
+from fatpoints.cohomology import chi, h0_any, make_context
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -9,7 +11,7 @@ from fatpoints.configuration import (
     PointConfig,
     proximity_matrix,
 )
-from fatpoints.lattice import ClassVector, nef_basis_class, zero_class
+from fatpoints.lattice import ClassVector, e0_class, nef_basis_class, zero_class
 from fatpoints.syzygy import s_dim, s_of_nef, s_vanish_by_degree
 
 GOLDEN_CONIC = PointConfig(
@@ -103,6 +105,40 @@ def test_flex_composite_through_s_dim():
     assert len(pts) == 10
     ans = s_dim(scheme, 5, ctx)
     assert ans.value >= 0
+
+
+def test_moving_part_plus_a_line_is_regular():
+    """s_dim takes h0(moving + e0) as chi(moving + e0); decomposing that class
+    and applying its case rule gives the same count in every kind."""
+    smooth = PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, 8)),
+        conic_shape=ConicShape("smooth"),
+    )
+    contexts = [
+        make_context(GOLDEN_CONIC),
+        make_context(smooth),
+        flex_context(9),
+        flex_context(11),
+        uniform_context(9, LambdaSpec("order", order=2)),
+        uniform_context(10),
+        uniform_context(12),
+    ]
+    rng = random.Random(412)
+    checked = 0
+    for _ in range(500):
+        ctx = rng.choice(contexts)
+        r = ctx.config.r
+        if ctx.config.curve_kind == "cubic_uniform":
+            m = rng.randint(0, 4)
+            f = ClassVector(rng.randint(0, 16), (m,) * r)
+        else:
+            f = ClassVector(rng.randint(0, 16), tuple(rng.randint(0, 4) for _ in range(r)))
+        moving = h0_any(f, ctx).moving_part
+        up = moving + e0_class(r)
+        assert h0_any(up, ctx).h0 == chi(up)
+        checked += not moving.is_zero()
+    assert checked > 200
 
 
 def test_s_dim_negative_degree_counts_first_sections():

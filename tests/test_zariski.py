@@ -1,7 +1,10 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from fatpoints.cli import parse_config
 from fatpoints.cohomology import make_context
 from fatpoints.configuration import (
     ConicShape,
@@ -87,10 +90,70 @@ def test_trace_certificates_and_idempotence():
         for step in dec.trace:
             assert step.pairing < 0
             assert step.square < 0
+            # every copy is forced: the pairing before the last one is negative
+            assert step.copies >= 1
+            assert step.pairing - (step.copies - 1) * step.square < 0
         again = zariski_decompose(dec.moving, ctx)
         assert again.moving == dec.moving
         assert again.fixed.is_zero()
     assert checked > 100
+
+
+def one_copy_reference(f, ctx):
+    """The subtraction loop one copy per step: the forced cubic past nine
+    flex points, else the first candidate met negatively.  Returns the moving
+    part, the fixed part and the copies per label, or None when the degree
+    turns negative."""
+    minus_k = -canonical_class(f.r)
+    forced_cubic = ctx.config.curve_kind == "cubic_flex" and f.r > 9
+    current, copies = f, Counter()
+    while current.d >= 0:
+        if forced_cubic and intersect(minus_k, current) < 0:
+            cls, label = minus_k, "D"
+        else:
+            hit = next((c for c in ctx.candidates if intersect(current, c.cls) < 0), None)
+            if hit is None:
+                return current, f - current, copies
+            cls, label = hit.cls, hit.label
+        current = current - cls
+        copies[label] += 1
+    return None
+
+
+def test_batched_subtraction_matches_one_copy_loop():
+    """Taking every forced copy of a class at once gives the moving part,
+    the fixed part and the copies per class of one copy per step."""
+    golden = Path(__file__).resolve().parent / "golden" / "configs"
+    configs = [
+        parse_config(str(path))[0]
+        for shape in ("line", "smooth", "two_lines", "double_line", "flex")
+        for path in sorted(golden.glob(f"{shape}_*.json"))
+    ]
+    contexts = [make_context(cfg) for cfg in configs + [flex_config(10), flex_config(12)]]
+    rng = random.Random(407)
+    decomposed = batched = 0
+    for _ in range(500):
+        ctx = rng.choice(contexts)
+        top = rng.choice((3, 8, 20))
+        f = ClassVector(
+            rng.randint(0, 3 * top), tuple(rng.randint(0, top) for _ in range(ctx.config.r))
+        )
+        dec = zariski_decompose(f, ctx)
+        want = one_copy_reference(f, ctx)
+        if want is None:
+            assert isinstance(dec, NotEffective)
+            continue
+        moving, fixed, copies = want
+        assert dec.moving == moving
+        assert dec.fixed == fixed
+        got = Counter()
+        for step in dec.trace:
+            got[step.label] += step.copies
+        assert got == copies
+        decomposed += 1
+        batched += any(step.copies > 1 for step in dec.trace)
+    assert decomposed > 150
+    assert batched > 50
 
 
 def test_reorder_invariance_of_nef_degree():
@@ -181,7 +244,7 @@ def test_flex_forced_cubic_past_nine():
     assert dec.moving.is_zero()
     assert dec.fixed == -2 * k
     assert all(step.rule == "forced-anticanonical" for step in dec.trace)
-    assert len(dec.trace) == 2
+    assert sum(step.copies for step in dec.trace) == 2
 
 
 def test_flex_chain_step():
