@@ -30,8 +30,7 @@ from .configuration import (
     ValidationError,
     validate,
 )
-from .cohomology import make_context, regularity_bound
-from .resolution import degree_table
+from .cohomology import h0_any, make_context, regularity_bound
 from .syzygy import generator_counts
 
 DEFAULT_PRIME = 32003
@@ -507,9 +506,10 @@ def oracle_report(
     reduced = _eliminate(coords, scheme.multiplicities, top)
     h_values = tuple(reduced.hilbert(d) for d in degrees)
     nu_values = tuple(reduced.generators(d) for d in degrees)
-    table = degree_table(scheme, context, top)
-    pipeline_h = tuple(answer.h0 for answer, _ in table)
-    pipeline_nu = tuple(count.value for count in generator_counts(table, context, reg))
+    answers = [h0_any(scheme.to_class(d), context) for d in degrees]
+    pipeline_h = tuple(answer.h0 for answer in answers)
+    counts = generator_counts(scheme, answers, context, reg)
+    pipeline_nu = tuple(count.value for count in counts)
     return OracleReport(p, seed, degrees, h_values, nu_values, pipeline_h, pipeline_nu)
 
 

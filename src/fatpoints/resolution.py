@@ -18,14 +18,11 @@ from .configuration import (
     line_partition_data,
 )
 from .cohomology import (
-    CaseContext,
-    CohomologyAnswer,
     h0_with_decomposition,
     make_context,
     regularity_bound,
 )
 from .syzygy import generator_counts
-from .zariski import NotEffective, ZariskiDecomposition
 
 
 def binom2(a: int) -> int:
@@ -122,14 +119,6 @@ def hilbert_function(scheme: FatPointScheme, d: int) -> int:
     return answer.h0
 
 
-def degree_table(
-    scheme: FatPointScheme, context: CaseContext, top: int
-) -> list[tuple[CohomologyAnswer, ZariskiDecomposition | NotEffective]]:
-    """``h0_with_decomposition`` of the scheme's class in each degree 0..top:
-    the one decomposition per degree that section and generator counts share."""
-    return [h0_with_decomposition(scheme.to_class(d), context) for d in range(top + 1)]
-
-
 def resolve(scheme: FatPointScheme) -> ResolutionReport:
     """Hilbert function, generator degrees, and both resolution modules."""
     # regularity_bound checks the proximity inequalities first
@@ -138,9 +127,11 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
     cutoff = reg + 2
     top = cutoff + 3
 
-    table = degree_table(scheme, context, top)
-    h_ext = [answer.h0 for answer, _ in table]
-    counts = generator_counts(table, context, reg)[: cutoff + 1]
+    # one decomposition per degree feeds the sections, generators and traces
+    table = [h0_with_decomposition(scheme.to_class(d), context) for d in range(top + 1)]
+    answers = [answer for answer, _ in table]
+    h_ext = [answer.h0 for answer in answers]
+    counts = generator_counts(scheme, answers, context, reg)[: cutoff + 1]
     nu = [count.value for count in counts]
     traces = tuple(
         DegreeTrace(
@@ -249,7 +240,6 @@ __all__ = [
     "GradedFreeModule",
     "ResolutionReport",
     "binom2",
-    "degree_table",
     "free_module_from_hilbert",
     "hilbert_function",
     "line_hilbert_direct",

@@ -28,24 +28,14 @@ from .cohomology import (
     CohomologyAnswer,
     chi,
     h0_any,
-    h0_with_decomposition,
     make_context,
     regularity_bound,
 )
-from .zariski import (
-    NotEffective,
-    ZariskiDecomposition,
-    kernel_multiple_data,
-)
-
-Decomposition = ZariskiDecomposition | NotEffective
+from .zariski import kernel_multiple_data
 
 RULE_BEYOND_REGULARITY = "beyond-regularity"
 RULE_INITIAL_GENERATORS = "initial-generators"
 RULE_FLEX_COMPOSITE = "flex-composite"
-
-# No class of negative degree is effective.
-_BELOW_ZERO = NotEffective("negative degree", ())
 
 
 @dataclass(frozen=True)
@@ -158,38 +148,42 @@ def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) ->
     if d > reg:
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
     up = h0_any(scheme.to_class(d + 1), context).h0
-    _, dec = h0_with_decomposition(scheme.to_class(d), context)
-    return _generator_count(d, dec, up, context, reg)
+    f = scheme.to_class(d)
+    return _generator_count(f, h0_any(f, context), up, context, reg)
 
 
 def generator_counts(
-    table: Sequence[tuple[CohomologyAnswer, Decomposition]],
+    scheme: FatPointScheme,
+    answers: Sequence[CohomologyAnswer],
     context: CaseContext,
     reg: int,
 ) -> tuple[SyzygyAnswer, ...]:
-    """Minimal generators in each degree d of a table whose entry d is
-    ``h0_with_decomposition`` of the scheme's degree-d class.
+    """Minimal generators in each degree d, where ``answers[d]`` is the
+    section answer of the scheme's degree-d class.
 
-    The count in degree d is ``s_dim`` at d - 1; below degree zero no class
-    is effective.
+    The count in degree d is ``s_dim`` at d - 1.  No class of negative
+    degree is effective, so degree zero's generators are its sections.
     """
-    decs = [_BELOW_ZERO] + [dec for _, dec in table]
-    return tuple(
-        _generator_count(d - 1, decs[d], answer.h0, context, reg)
-        for d, (answer, _) in enumerate(table)
+    counts = [SyzygyAnswer(answers[0].h0, RULE_INITIAL_GENERATORS)]
+    counts += (
+        _generator_count(scheme.to_class(d), here, up.h0, context, reg)
+        for d, (here, up) in enumerate(zip(answers, answers[1:]))
     )
+    return tuple(counts)
 
 
 def _generator_count(
-    d: int, dec: Decomposition, up: int, context: CaseContext, reg: int
+    f: ClassVector, here: CohomologyAnswer, up: int, context: CaseContext, reg: int
 ) -> SyzygyAnswer:
-    """Syzygies in degree d+1 from the degree-d decomposition ``dec``, the
-    sections ``up`` in degree d+1, and the regularity bound ``reg``."""
-    if d > reg:
+    """Syzygies in degree f.d + 1 from the section answer ``here`` of the
+    degree-d class f, the sections ``up`` in degree d+1, and the regularity
+    bound ``reg``."""
+    if f.d > reg:
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
-    if isinstance(dec, NotEffective):
+    if here.h1 is None:
+        # not effective
         return SyzygyAnswer(up, RULE_INITIAL_GENERATORS)
-    moving = dec.moving
+    moving = here.moving_part
     base = _moving_syzygies(moving, context)
     # moving + e0 is nef and regular: on a line or conic every nef class is,
     # and on the cubic it has restriction degree at least 3, where the cubic
@@ -197,8 +191,8 @@ def _generator_count(
     moving_up = chi(moving + e0_class(moving.r))
     value = base.value + up - moving_up
     if value < 0:
-        raise RuntimeError(f"internal error: negative syzygy count at degree {d}")
-    rule = base.rule if dec.fixed.is_zero() else base.rule + "+fixed-part"
+        raise RuntimeError(f"internal error: negative syzygy count at degree {f.d}")
+    rule = base.rule if moving == f else base.rule + "+fixed-part"
     return SyzygyAnswer(value, rule)
 
 
@@ -219,7 +213,6 @@ def s_vanish_by_degree(f: ClassVector, g: ClassVector, prox: ProximityMatrix) ->
 
 __all__ = [
     "SyzygyAnswer",
-    "generator_counts",
     "s_dim",
     "s_of_nef",
     "s_vanish_by_degree",

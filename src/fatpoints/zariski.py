@@ -57,7 +57,7 @@ class SubtractionStep:
 
     def __str__(self) -> str:
         text = f"{self.subtracted} [{self.label}]"
-        return f"{self.copies} × {text}" if self.copies > 1 else text
+        return f"{self.copies} x {text}" if self.copies > 1 else text
 
 
 @dataclass(frozen=True)
