@@ -22,7 +22,6 @@ from .configuration import (
     PointConfig,
     UnsupportedRuleError,
     ValidationError,
-    check_proximity,
     validate,
 )
 from .cohomology import h0_any, make_context, regularity_bound
@@ -322,10 +321,9 @@ def _run_resolve(spec: RunSpec) -> int:
 
 def _run_hilbert(spec: RunSpec) -> int:
     config, scheme = parse_config(spec.input_path)
-    check_proximity(scheme)
-    top = spec.max_degree
-    if top is None:
-        top = regularity_bound(scheme) + 2
+    # regularity_bound checks the proximity inequalities first
+    reg = regularity_bound(scheme)
+    top = reg + 2 if spec.max_degree is None else spec.max_degree
     degrees = list(range(top + 1))
     context = make_context(config)
     values = [h0_any(scheme.to_class(d), context).h0 for d in degrees]

@@ -477,22 +477,18 @@ def canonical_reorder(scheme: FatPointScheme) -> ReorderResult:
             raise ValidationError(
                 f"reorder broke proximity order at new id {pt.id}", rule="reorder-order"
             )
-    lines = tuple(
-        tuple(sorted(new_id[i] for i in line if i in new_id))
-        for line in config.lines
-    )
-    lines = tuple(line for line in lines if len(line) >= 2 or len(order) == 1)
+    survivors = [
+        (idx, line)
+        for idx, line in enumerate(
+            tuple(sorted(new_id[i] for i in line if i in new_id)) for line in config.lines
+        )
+        if len(line) >= 2 or len(order) == 1
+    ]
+    lines = tuple(line for _, line in survivors)
     # Line indices shift when empty lines vanish, so remap the conic shape.
     shape = config.conic_shape
     if shape is not None and shape.kind != "smooth":
-        survivors = [
-            idx
-            for idx, line in enumerate(
-                tuple(sorted(new_id[i] for i in line if i in new_id)) for line in config.lines
-            )
-            if len(line) >= 2 or len(order) == 1
-        ]
-        remap = {old_idx: new_idx for new_idx, old_idx in enumerate(survivors)}
+        remap = {old_idx: new_idx for new_idx, (old_idx, _) in enumerate(survivors)}
         shape = ConicShape(
             shape.kind,
             remap.get(shape.line_a) if shape.line_a is not None else None,

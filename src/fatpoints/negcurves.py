@@ -155,7 +155,9 @@ def flex_candidate_fixed_classes(r: int) -> NegativeCurveList:
 
     Returns the classes dual to the nef-basis coordinates (the tangent-line
     class, the chain's exceptional components, and the last exceptional
-    class), plus the anticanonical cubic once its square turns negative.
+    class).  Once its square turns negative, past nine points, the
+    anticanonical cubic ``D`` comes first: the subtraction loop takes its
+    copies before any other candidate's.
     """
     if r < 3:
         raise UnsupportedRuleError(
@@ -164,11 +166,10 @@ def flex_candidate_fixed_classes(r: int) -> NegativeCurveList:
     tangent = e0_class(r)
     for i in (1, 2, 3):
         tangent = tangent - exceptional_class(i, r)
-    entries = [NegativeCurve(tangent, KIND_LINE, "L(1,2,3)")]
+    entries = [NegativeCurve(-canonical_class(r), KIND_CUBIC, "D")] if r > 9 else []
+    entries.append(NegativeCurve(tangent, KIND_LINE, "L(1,2,3)"))
     for i in range(1, r):
         cls = exceptional_class(i, r) - exceptional_class(i + 1, r)
         entries.append(NegativeCurve(cls, KIND_EXCEPTIONAL, f"E{i} - E{i + 1}"))
     entries.append(NegativeCurve(exceptional_class(r, r), KIND_EXCEPTIONAL, f"E{r}"))
-    if r > 9:
-        entries.append(NegativeCurve(-canonical_class(r), KIND_CUBIC, "D"))
     return NegativeCurveList(tuple(entries))

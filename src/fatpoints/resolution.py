@@ -17,11 +17,7 @@ from .configuration import (
     check_proximity,
     line_partition_data,
 )
-from .cohomology import (
-    h0_with_decomposition,
-    make_context,
-    regularity_bound,
-)
+from .cohomology import h0_with_decomposition, make_context, regularity_bound
 from .syzygy import generator_counts
 
 
@@ -109,14 +105,6 @@ class ResolutionReport:
     traces: tuple[DegreeTrace, ...]
     regularity: int
     cutoff: int
-
-
-def hilbert_function(scheme: FatPointScheme, d: int) -> int:
-    """Dimension of the degree-d piece of the scheme's ideal."""
-    check_proximity(scheme)
-    context = make_context(scheme.config)
-    answer, _ = h0_with_decomposition(scheme.to_class(d), context)
-    return answer.h0
 
 
 def resolve(scheme: FatPointScheme) -> ResolutionReport:
@@ -241,7 +229,6 @@ __all__ = [
     "ResolutionReport",
     "binom2",
     "free_module_from_hilbert",
-    "hilbert_function",
     "line_hilbert_direct",
     "line_hilbert_condensed",
     "resolve",

@@ -11,11 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .configuration import (
-    FatPointScheme,
-    ProximityMatrix,
-    UnsupportedRuleError,
-)
+from .configuration import FatPointScheme, UnsupportedRuleError
 from .lattice import (
     ClassVector,
     canonical_class,
@@ -31,7 +27,7 @@ from .cohomology import (
     make_context,
     regularity_bound,
 )
-from .zariski import kernel_multiple_data
+from .zariski import check_rank, check_uniform_class, kernel_multiple_data
 
 RULE_BEYOND_REGULARITY = "beyond-regularity"
 RULE_INITIAL_GENERATORS = "initial-generators"
@@ -45,13 +41,8 @@ class SyzygyAnswer:
 
 
 def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
+    check_uniform_class(h)
     r = h.r
-    if r < 9:
-        raise UnsupportedRuleError(
-            "rules for points on a smooth cubic need at least nine points"
-        )
-    if len(set(h.m)) > 1:
-        raise ValueError(f"uniform moving parts have equal multiplicities, got {h}")
     mk = intersect(-canonical_class(r), h)
     if mk < 0:
         raise ValueError(f"s_of_nef expects a nef class, got {h}")
@@ -119,9 +110,8 @@ def _flex_nef_answer(h: ClassVector) -> SyzygyAnswer:
 
 def s_of_nef(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     """Syzygy count for a nef moving part, straight from the case rules."""
+    check_rank(h, context.config)
     kind = context.config.curve_kind
-    if h.r != context.config.r:
-        raise ValueError(f"class of rank {h.r} does not match {context.config.r} points")
     if kind in ("line", "conic"):
         return SyzygyAnswer(0, "rational-normal-restriction")
     if kind == "cubic_uniform":
@@ -196,24 +186,8 @@ def _generator_count(
     return SyzygyAnswer(value, rule)
 
 
-def s_vanish_by_degree(f: ClassVector, g: ClassVector, prox: ProximityMatrix) -> bool:
-    """Degree test certifying no syzygies between a pair of class twists.
-
-    Both classes must satisfy the proximity inequalities recorded in ``prox``.
-    """
-    for cls in (f, g):
-        if cls.r != len(prox.entries):
-            raise ValueError("class rank does not match the proximity matrix")
-        for i in range(1, cls.r + 1):
-            total = sum(cls.m[j - 1] for j in prox.points_proximate_to(i))
-            if cls.m[i - 1] < total:
-                raise ValueError(f"proximity inequality fails at p{i}")
-    return f.d >= sum(f.m) and g.d >= sum(g.m)
-
-
 __all__ = [
     "SyzygyAnswer",
     "s_dim",
     "s_of_nef",
-    "s_vanish_by_degree",
 ]

@@ -8,7 +8,9 @@ fixed anticanonical multiple and the kernel's extra sections directly.  Each
 subtraction takes every forced copy of one class at once and records a
 certificate (the negative pairing that forced the first copy and the square
 by which each copy raises it), and an ample-degree potential bounds the
-iteration so a bad candidate list fails loudly instead of spinning.
+iteration so a bad candidate list fails loudly instead of spinning.  The loop
+stops when no candidate meets the class negatively, and that same scan is the
+nef test ``is_nef``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .lattice import (
     e0_class,
     exceptional_class,
     intersect,
-    nef_basis_coefficients,
 )
 from .negcurves import (
     KIND_CUBIC,
@@ -138,12 +139,12 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
     return tuple(candidates)
 
 
-def _check_rank(f: ClassVector, config: PointConfig) -> None:
+def check_rank(f: ClassVector, config: PointConfig) -> None:
     if f.r != config.r:
         raise ValueError(f"class of rank {f.r} does not match {config.r} points")
 
 
-def _check_uniform_class(f: ClassVector) -> None:
+def check_uniform_class(f: ClassVector) -> None:
     if f.r < 9:
         raise UnsupportedRuleError(
             "rules for points on a smooth cubic need at least nine points"
@@ -154,34 +155,40 @@ def _check_uniform_class(f: ClassVector) -> None:
         )
 
 
+def _first_negative(
+    f: ClassVector, context: CaseContext
+) -> tuple[NegativeCurve, int] | None:
+    """The first candidate that ``f`` meets negatively, with the pairing."""
+    for entry in context.candidates:
+        pairing = intersect(f, entry.cls)
+        if pairing < 0:
+            return entry, pairing
+    return None
+
+
 def is_nef(f: ClassVector, context: CaseContext) -> bool:
-    """Whether ``f`` pairs nonnegatively with every curve class of the case."""
+    """Whether ``f`` pairs nonnegatively with every curve class of the case.
+
+    For lines, conics and flex chains this is the scan that ends the
+    subtraction loop.  On a flex chain the candidates pair with ``f`` to give
+    its nef-basis coordinates (and, past nine points, its pairing with -K).
+    """
     config = context.config
-    _check_rank(f, config)
-    kind = config.curve_kind
-    if kind == "cubic_flex":
-        coeffs = nef_basis_coefficients(f)
-        return min(coeffs.a) >= 0 and coeffs.minus_k_pairing >= 0
-    if kind == "cubic_uniform":
-        _check_uniform_class(f)
+    check_rank(f, config)
+    if config.curve_kind == "cubic_uniform":
+        check_uniform_class(f)
         m = f.m[0]
         t = f.d - 3 * m
         return m >= 0 and t >= 0 and 3 * t + (9 - f.r) * m >= 0
-    if f.d < 0:
-        return False
-    return all(intersect(f, entry.cls) >= 0 for entry in context.candidates)
+    return f.d >= 0 and _first_negative(f, context) is None
 
 
 def _forced_step(
-    current: ClassVector,
-    cls: ClassVector,
-    kind: str,
-    label: str,
-    pairing: int,
-    rule: str,
+    current: ClassVector, entry: NegativeCurve, pairing: int
 ) -> SubtractionStep:
-    """Every copy of ``cls`` that its negative ``pairing`` with ``current``
+    """Every copy of ``entry`` that its negative ``pairing`` with ``current``
     forces into the fixed part."""
+    cls = entry.cls
     square = cls.square()
     if square < 0:
         # each copy raises the pairing by -square, and a copy is forced while
@@ -191,7 +198,8 @@ def _forced_step(
         # a pencil of lines through a point has square zero, so its pairing
         # never rises: copies come off until the degree turns negative
         copies = current.d // cls.d + 1
-    return SubtractionStep(cls, kind, label, pairing, square, rule, copies)
+    rule = RULE_FORCED_CUBIC if entry.kind == KIND_CUBIC else RULE_NEGATIVE_PAIRING
+    return SubtractionStep(cls, entry.kind, entry.label, pairing, square, rule, copies)
 
 
 def zariski_decompose(
@@ -199,15 +207,14 @@ def zariski_decompose(
 ) -> ZariskiDecomposition | NotEffective:
     """Split ``f`` into a nef moving part plus the forced fixed classes.
 
-    Returns ``NotEffective`` when the subtraction drives the degree negative.
+    Returns ``NotEffective`` when the subtraction drives the degree negative,
+    and the decomposition as soon as no candidate meets the class negatively.
     """
     config = context.config
     if config.curve_kind == "cubic_uniform":
         return uniform_cubic_rule(f, context).decomposition
-    _check_rank(f, config)
+    check_rank(f, config)
     ample = _ample_witness(f.r)
-    minus_k = -canonical_class(f.r)
-    forced_cubic = config.curve_kind == "cubic_flex" and f.r > 9
 
     current = f
     steps: list[SubtractionStep] = []
@@ -219,28 +226,10 @@ def zariski_decompose(
                 "subtracting forced fixed classes drove the degree negative",
                 tuple(steps),
             )
-        step = None
-        if forced_cubic:
-            pairing = intersect(minus_k, current)
-            if pairing < 0:
-                step = _forced_step(
-                    current, minus_k, KIND_CUBIC, "D", pairing, RULE_FORCED_CUBIC
-                )
-        if step is None:
-            for entry in context.candidates:
-                pairing = intersect(current, entry.cls)
-                if pairing < 0:
-                    step = _forced_step(
-                        current,
-                        entry.cls,
-                        entry.kind,
-                        entry.label,
-                        pairing,
-                        RULE_NEGATIVE_PAIRING,
-                    )
-                    break
-        if step is None:
-            break
+        hit = _first_negative(current, context)
+        if hit is None:
+            return ZariskiDecomposition(current, f - current, tuple(steps))
+        step = _forced_step(current, *hit)
         current = current - step.copies * step.subtracted
         steps.append(step)
         next_potential = intersect(current, ample)
@@ -252,10 +241,6 @@ def zariski_decompose(
         if len(steps) > budget:
             raise RuntimeError("internal error: subtraction budget exceeded")
 
-    if not is_nef(current, context):
-        raise RuntimeError(f"internal error: loop stopped at non-nef {current}")
-    return ZariskiDecomposition(current, f - current, tuple(steps))
-
 
 def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnswer:
     """The rule for t*e0 + m*(-K) at r >= 9 general points of a smooth cubic.
@@ -264,8 +249,8 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
     lies in the restriction kernel, and the resulting extra sections.
     """
     config = context.config
-    _check_rank(f, config)
-    _check_uniform_class(f)
+    check_rank(f, config)
+    check_uniform_class(f)
     r = config.r
     m = f.m[0]
     steps: list[SubtractionStep] = []

@@ -134,7 +134,9 @@ def test_flex_candidates_include_cubic_past_nine():
         assert ("D" in labels) == (r > 9)
         assert len(curves) == (r + 2 if r > 9 else r + 1)
         if r > 9:
-            d = next(e.cls for e in curves if e.label == "D")
+            # its copies are taken before any other candidate's
+            assert labels[0] == "D"
+            d = curves.entries[0].cls
             assert d == -canonical_class(r)
             assert d.square() == 9 - r
 

@@ -7,7 +7,7 @@ import pytest
 
 from fatpoints import zariski
 from fatpoints.cli import parse_config
-from fatpoints.cohomology import make_context
+from fatpoints.cohomology import h0_any, make_context
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -19,7 +19,6 @@ from fatpoints.resolution import (
     GradedFreeModule,
     binom2,
     free_module_from_hilbert,
-    hilbert_function,
     line_hilbert_condensed,
     line_hilbert_direct,
     resolve,
@@ -128,10 +127,11 @@ def test_line_closed_form_matches_pipeline_small():
 
 def test_hilbert_function_matches_module_difference():
     report = resolve(GOLDEN_SCHEME)
+    ctx = make_context(GOLDEN_CONIC)
     for n in range(report.cutoff + 1):
         expect = binom2(n + 2) - report.f0.hilbert(n) + report.f1.hilbert(n)
         ideal_dim = binom2(n + 2) - report.h[n]
-        assert hilbert_function(GOLDEN_SCHEME, n) == report.h[n]
+        assert h0_any(GOLDEN_SCHEME.to_class(n), ctx).h0 == report.h[n]
         assert report.h[n] == binom2(n + 2) - ideal_dim
         assert report.f0.hilbert(n) - report.f1.hilbert(n) == report.h[n]
 

@@ -9,10 +9,10 @@ from fatpoints.configuration import (
     LambdaSpec,
     Point,
     PointConfig,
-    proximity_matrix,
+    UnsupportedRuleError,
 )
 from fatpoints.lattice import ClassVector, e0_class, nef_basis_class, zero_class
-from fatpoints.syzygy import s_dim, s_of_nef, s_vanish_by_degree
+from fatpoints.syzygy import s_dim, s_of_nef
 
 GOLDEN_CONIC = PointConfig(
     curve_kind="conic",
@@ -68,6 +68,9 @@ def test_uniform_rules():
     assert s_of_nef(ClassVector(10, (3,) * 10), ctx10).value == 1
     assert s_of_nef(ClassVector(4, (1,) * 12), ctx12).value == 0
     assert s_of_nef(zero_class(10), ctx10).value == 0
+    # the uniform rules cover equal multiplicities only, as in zariski
+    with pytest.raises(UnsupportedRuleError):
+        s_of_nef(ClassVector(7, (2,) * 9 + (1,)), ctx10)
 
 
 def test_uniform_kernel_multiples():
@@ -146,26 +149,3 @@ def test_s_dim_negative_degree_counts_first_sections():
     ans = s_dim(GOLDEN_SCHEME, -1, ctx)
     assert ans.value == 0  # degree 0 has no sections for a nonempty scheme
     assert ans.rule == "initial-generators"
-
-
-def test_vanish_by_degree():
-    cfg = PointConfig(
-        curve_kind="line",
-        points=(Point(1), Point(2), Point(3)),
-        lines=((1, 2, 3),),
-    )
-    prox = proximity_matrix(cfg)
-    partner = ClassVector(5, (2, 2, 1))
-    assert s_vanish_by_degree(ClassVector(6, (3, 2, 1)), partner, prox)
-    assert not s_vanish_by_degree(ClassVector(5, (3, 2, 1)), partner, prox)
-
-
-def test_vanish_by_degree_validates_proximity():
-    cfg = PointConfig(
-        curve_kind="line",
-        points=(Point(1), Point(2, parent=1), Point(3)),
-        lines=((1, 2, 3),),
-    )
-    prox = proximity_matrix(cfg)
-    with pytest.raises(ValueError):
-        s_vanish_by_degree(ClassVector(6, (1, 2, 1)), ClassVector(6, (1, 1, 1)), prox)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from fatpoints import zariski
 from fatpoints.cli import parse_config
 from fatpoints.cohomology import make_context
 from fatpoints.configuration import (
@@ -13,7 +14,14 @@ from fatpoints.configuration import (
     Point,
     PointConfig,
 )
-from fatpoints.lattice import ClassVector, canonical_class, intersect, zero_class
+from fatpoints.lattice import (
+    ClassVector,
+    canonical_class,
+    intersect,
+    nef_basis_class,
+    nef_basis_coefficients,
+    zero_class,
+)
 from fatpoints.zariski import (
     NotEffective,
     is_nef,
@@ -68,6 +76,73 @@ def test_is_nef_golden_cases():
     assert not is_nef(ClassVector(5, (3, 2, 2, 1, 3, 2)), ctx)
     assert not is_nef(ClassVector(-1, (0,) * 6), ctx)
     assert is_nef(zero_class(6), ctx)
+
+
+def smooth_conic_config(r):
+    return PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, r + 1)),
+        conic_shape=ConicShape("smooth"),
+    )
+
+
+def flex_nef_reference(f):
+    """The flex chain's nef cone in its own basis: nonnegative coordinates
+    and a nonnegative pairing with the anticanonical class."""
+    coeffs = nef_basis_coefficients(f)
+    return min(coeffs.a) >= 0 and coeffs.minus_k_pairing >= 0
+
+
+def pairing_nef_reference(f, ctx):
+    return f.d >= 0 and all(intersect(f, entry.cls) >= 0 for entry in ctx.candidates)
+
+
+def test_is_nef_matches_reference_predicates():
+    """is_nef, the scan that ends the subtraction loop, agrees with the nef
+    basis criterion on flex chains and with the full pairing test on conics."""
+    flex = [make_context(flex_config(r)) for r in range(3, 15)]
+    conics = [make_context(GOLDEN_CONIC), make_context(smooth_conic_config(12))]
+    rng = random.Random(408)
+    outcomes = Counter()
+    for _ in range(500):
+        on_flex = rng.random() < 0.5
+        ctx = rng.choice(flex if on_flex else conics)
+        r = ctx.config.r
+        if on_flex:
+            # a nonnegative mix of the nef basis, nudged off it half the time
+            f = zero_class(r)
+            for i in rng.sample(range(r + 1), rng.randint(1, 3)):
+                f = f + rng.randint(1, 3) * nef_basis_class(i, r)
+            if rng.random() < 0.5:
+                f = f - ClassVector(rng.randint(-1, 1), tuple(rng.randint(-1, 1) for _ in range(r)))
+            want = flex_nef_reference(f)
+        else:
+            f = ClassVector(rng.randint(-2, 14), tuple(rng.randint(0, 4) for _ in range(r)))
+            if rng.random() < 0.5:
+                dec = zariski_decompose(f, ctx)
+                f = f if isinstance(dec, NotEffective) else dec.moving
+            want = pairing_nef_reference(f, ctx)
+        assert is_nef(f, ctx) == want, (f, ctx.config.curve_kind)
+        outcomes[on_flex, want] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
+def test_nef_class_is_paired_with_each_candidate_once(monkeypatch):
+    """A nef class costs one ample pairing plus one scan of the candidates:
+    the scan that ends the loop also decides nefness."""
+    ctx = make_context(smooth_conic_config(12))
+    calls = []
+    original = zariski.intersect
+
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(zariski, "intersect", counted)
+    f = ClassVector(6, (1,) * 12)
+    dec = zariski_decompose(f, ctx)
+    assert dec.moving == f and dec.trace == ()
+    assert len(calls) == len(ctx.candidates) + 1
 
 
 def test_trace_certificates_and_idempotence():
