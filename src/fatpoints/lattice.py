@@ -9,6 +9,7 @@ denotes the class d*e0 - m[0]*e1 - ... - m[r-1]*er.  All arithmetic is exact
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -72,8 +73,9 @@ def intersect(f: ClassVector, g: ClassVector) -> int:
     Raises ValueError when the two classes live on blowups of different rank;
     use extend_rank first if a comparison across ranks is intended.
     """
-    _require_same_rank(f, g, "pair")
-    return f.d * g.d - sum(a * b for a, b in zip(f.m, g.m))
+    if len(f.m) != len(g.m):
+        _require_same_rank(f, g, "pair")
+    return f.d * g.d - sum(map(operator.mul, f.m, g.m))
 
 
 def zero_class(r: int) -> ClassVector:

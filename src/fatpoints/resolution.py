@@ -2,14 +2,15 @@
 
 The pipeline computes the Hilbert function from moving parts, reads off the
 generator counts degree by degree, and recovers the relation module from the
-Hilbert identity.  For points on a line the same data also comes from a closed
-form, kept separate so the two routes can check each other.
+third difference of the Hilbert function.  For points on a line the same data
+also comes from a closed form, kept separate so the two routes can check each
+other.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .configuration import (
@@ -61,31 +62,18 @@ class GradedFreeModule:
         return " + ".join(parts)
 
 
-def free_module_from_hilbert(delta: Mapping[int, int] | Sequence[int]) -> GradedFreeModule:
-    """Free module whose Hilbert function matches ``delta``, degree by degree.
+def _third_difference(h: Sequence[int]) -> list[int]:
+    """f0(n) - f1(n) for 0 -> F1 -> F0 -> I -> 0, where h(n) = dim I_n.
 
-    Greedy from the bottom: whatever the lower generators cannot explain at a
-    degree must be new generators there.  Raises ValueError when no free
-    module fits.
+    Each R[-d] has Hilbert series t^d / (1-t)^3, so (1-t)^3 times the Hilbert
+    series of I is the sum of (f0(n) - f1(n)) t^n: the third difference of h,
+    taking h(-1) = h(-2) = h(-3) = 0.
     """
-    if isinstance(delta, Mapping):
-        for key in delta:
-            if key < 0:
-                raise ValueError("inconsistent Hilbert data: negative degree")
-        top = max(delta, default=-1)
-        values = [int(delta.get(n, 0)) for n in range(top + 1)]
-    else:
-        values = [int(v) for v in delta]
-    shifts: dict[int, int] = {}
-    for n, target in enumerate(values):
-        residual = target - sum(mult * binom2(n - d + 2) for d, mult in shifts.items())
-        if residual < 0:
-            raise ValueError(
-                f"inconsistent Hilbert data: excess {-residual} at degree {n}"
-            )
-        if residual:
-            shifts[n] = residual
-    return GradedFreeModule(shifts)
+    padded = [0, 0, 0, *h]
+    return [
+        padded[n + 3] - 3 * padded[n + 2] + 3 * padded[n + 1] - padded[n]
+        for n in range(len(h))
+    ]
 
 
 @dataclass(frozen=True)
@@ -140,15 +128,15 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
         )
 
     f0 = GradedFreeModule({d: v for d, v in enumerate(nu) if v})
-    delta = [f0.hilbert(n) - h_ext[n] for n in range(top + 1)]
-    f1 = free_module_from_hilbert(delta)
+    f1_counts = [v - d3 for v, d3 in zip(nu + [0] * 3, _third_difference(h_ext))]
+    for n, v in enumerate(f1_counts):
+        if v < 0:
+            raise RuntimeError(f"internal error: Hilbert identity fails at degree {n}")
+    f1 = GradedFreeModule({n: v for n, v in enumerate(f1_counts) if v})
     if f0.rank() - f1.rank() != 1:
         raise RuntimeError(
             f"internal error: ranks {f0.rank()} and {f1.rank()} do not differ by one"
         )
-    for n in range(top + 1):
-        if f0.hilbert(n) - f1.hilbert(n) != h_ext[n]:
-            raise RuntimeError(f"internal error: Hilbert identity fails at degree {n}")
 
     return ResolutionReport(
         alpha,
@@ -216,9 +204,10 @@ def resolve_line_closed_form(scheme: FatPointScheme) -> ResolutionReport:
         direct = _line_direct(m1, a_counts, n)
         if direct != _line_condensed(mults, data.a, n):
             raise RuntimeError(f"internal error: the two line formulas split at {n}")
-        if f0.hilbert(n) - f1.hilbert(n) != direct:
-            raise RuntimeError(f"internal error: Hilbert identity fails at degree {n}")
         h.append(direct)
+    for n, d3 in enumerate(_third_difference(h)):
+        if f0_shifts[n] - f1_shifts[n] != d3:
+            raise RuntimeError(f"internal error: Hilbert identity fails at degree {n}")
     nu = tuple(f0.shifts.get(d, 0) for d in range(cutoff + 1))
     return ResolutionReport(m1, tuple(h[: cutoff + 1]), nu, f0, f1, (), reg, cutoff)
 
@@ -228,7 +217,6 @@ __all__ = [
     "GradedFreeModule",
     "ResolutionReport",
     "binom2",
-    "free_module_from_hilbert",
     "line_hilbert_direct",
     "line_hilbert_condensed",
     "resolve",

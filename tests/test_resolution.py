@@ -18,7 +18,6 @@ from fatpoints.configuration import (
 from fatpoints.resolution import (
     GradedFreeModule,
     binom2,
-    free_module_from_hilbert,
     line_hilbert_condensed,
     line_hilbert_direct,
     resolve,
@@ -48,6 +47,14 @@ def line_scheme(mults):
     return FatPointScheme(cfg, tuple(mults))
 
 
+def uniform_config(r):
+    return PointConfig(
+        curve_kind="cubic_uniform",
+        points=tuple(Point(i) for i in range(1, r + 1)),
+        lambda_spec=LambdaSpec("trivial"),
+    )
+
+
 def test_binom2():
     assert [binom2(n) for n in range(-2, 6)] == [0, 0, 0, 0, 1, 3, 6, 10]
 
@@ -64,18 +71,6 @@ def test_graded_free_module():
 def test_graded_free_module_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         GradedFreeModule({5: 0})
-
-
-def test_free_module_from_hilbert():
-    mod = GradedFreeModule({3: 2, 4: 1})
-    values = {n: mod.hilbert(n) for n in range(0, 9)}
-    assert free_module_from_hilbert(values) == mod
-
-
-def test_free_module_from_hilbert_rejects_excess():
-    # h drops from one degree to the next, impossible for a free module
-    with pytest.raises(ValueError):
-        free_module_from_hilbert({0: 0, 1: 1, 2: 0})
 
 
 def test_golden_resolution():
@@ -130,20 +125,14 @@ def test_hilbert_function_matches_module_difference():
     ctx = make_context(GOLDEN_CONIC)
     for n in range(report.cutoff + 1):
         expect = binom2(n + 2) - report.f0.hilbert(n) + report.f1.hilbert(n)
-        ideal_dim = binom2(n + 2) - report.h[n]
-        assert h0_any(GOLDEN_SCHEME.to_class(n), ctx).h0 == report.h[n]
-        assert report.h[n] == binom2(n + 2) - ideal_dim
-        assert report.f0.hilbert(n) - report.f1.hilbert(n) == report.h[n]
+        h0 = h0_any(GOLDEN_SCHEME.to_class(n), ctx).h0
+        assert h0 == report.h[n]
+        assert binom2(n + 2) - expect == h0
 
 
 def test_uniform_resolution_displays():
-    cfg = PointConfig(
-        curve_kind="cubic_uniform",
-        points=tuple(Point(i) for i in range(1, 13)),
-        lambda_spec=LambdaSpec("trivial"),
-    )
     for m in (1, 2, 3, 4):
-        report = resolve(FatPointScheme(cfg, (m,) * 12))
+        report = resolve(FatPointScheme(uniform_config(12), (m,) * 12))
         want_f0 = {3 * m: 1}
         want_f1 = {}
         for i in range(1, m + 1):
@@ -209,16 +198,11 @@ def test_resolve_counts_match_s_dim():
         curve_kind="cubic_flex",
         points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, 11)),
     )
-    uniform = PointConfig(
-        curve_kind="cubic_uniform",
-        points=tuple(Point(i) for i in range(1, 11)),
-        lambda_spec=LambdaSpec("trivial"),
-    )
     schemes = (
         GOLDEN_SCHEME,
         line_scheme((5, 3, 1)),
         FatPointScheme(flex, (3, 3, 2, 2, 2, 1, 1, 1, 1, 1)),
-        FatPointScheme(uniform, (2,) * 10),
+        FatPointScheme(uniform_config(10), (2,) * 10),
     )
     for scheme in schemes:
         report = resolve(scheme)
@@ -249,3 +233,129 @@ def test_line_3000_resolves_like_closed_form():
     pipeline = resolve(scheme)
     assert (pipeline.alpha, pipeline.h, pipeline.nu) == (closed.alpha, closed.h, closed.nu)
     assert (pipeline.f0, pipeline.f1) == (closed.f0, closed.f1)
+
+
+def greedy_free_module_reference(values):
+    """The free module whose Hilbert function is ``values``, greedily from
+    the bottom: what the lower generators cannot explain at a degree must be
+    new generators there."""
+    shifts = {}
+    for n, target in enumerate(values):
+        residual = target - sum(mult * binom2(n - d + 2) for d, mult in shifts.items())
+        assert residual >= 0, f"excess {-residual} at degree {n}"
+        if residual:
+            shifts[n] = residual
+    return GradedFreeModule(shifts)
+
+
+def near_points(rng, r, hi):
+    """r proper points, then first-order near points over a random nonempty
+    subset of them; returns the points and the multiplicities."""
+    mults = sorted((rng.randint(1, hi) for _ in range(r)), reverse=True)
+    points = [Point(i) for i in range(1, r + 1)]
+    for parent in sorted(rng.sample(range(1, r + 1), rng.randint(1, r))):
+        points.append(Point(len(points) + 1, parent=parent))
+        mults.append(rng.randint(1, mults[parent - 1]))
+    return tuple(points), tuple(mults)
+
+
+def seeded_line(rng):
+    return line_scheme(sorted((rng.randint(1, 6) for _ in range(rng.randint(1, 6))), reverse=True))
+
+
+def seeded_smooth_conic(rng):
+    r = rng.randint(1, 9)
+    cfg = PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, r + 1)),
+        conic_shape=ConicShape("smooth"),
+    )
+    return FatPointScheme(cfg, tuple(rng.randint(1, 5) for _ in range(r)))
+
+
+def seeded_two_lines(rng):
+    node = bool(rng.randrange(2))
+    na, nb = rng.randint(2, 4), rng.randint(2, 4)
+    first = 2 if node else 1
+    line_a = ([1] if node else []) + list(range(first, first + na))
+    line_b = ([1] if node else []) + list(range(first + na, first + na + nb))
+    r = line_b[-1]
+    mults = [rng.randint(1, 4) for _ in range(r)]
+    host = line_a if rng.randrange(2) else line_b
+    parent = rng.choice(host)
+    host.append(r + 1)
+    mults.append(rng.randint(1, mults[parent - 1]))
+    cfg = PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, r + 1)) + (Point(r + 1, parent=parent),),
+        lines=(tuple(line_a), tuple(line_b)),
+        conic_shape=ConicShape("two_lines", line_a=0, line_b=1),
+    )
+    return FatPointScheme(cfg, tuple(mults))
+
+
+def seeded_double_line(rng):
+    points, mults = near_points(rng, rng.randint(1, 5), 4)
+    cfg = PointConfig(
+        curve_kind="conic",
+        points=points,
+        lines=(tuple(range(1, len(points) + 1)),),
+        conic_shape=ConicShape("double_line", line_a=0),
+    )
+    return FatPointScheme(cfg, mults)
+
+
+def seeded_uniform(rng):
+    r = rng.randint(9, 20)
+    return FatPointScheme(uniform_config(r), (rng.randint(1, 4),) * r)
+
+
+def seeded_flex(rng):
+    r = rng.randint(3, 12)
+    cfg = PointConfig(
+        curve_kind="cubic_flex",
+        points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, r + 1)),
+    )
+    return FatPointScheme(cfg, tuple(sorted((rng.randint(0, 4) for _ in range(r)), reverse=True)))
+
+
+def test_f1_matches_greedy_reference():
+    """F1 from the third difference of h equals the greedy free module on
+    f0.hilbert(n) - h(n), over 210 seeded schemes of all six shapes."""
+    rng = random.Random(606)
+    makers = (
+        seeded_line,
+        seeded_smooth_conic,
+        seeded_two_lines,
+        seeded_double_line,
+        seeded_uniform,
+        seeded_flex,
+    )
+    for make in makers:
+        for _ in range(35):
+            scheme = make(rng)
+            report = resolve(scheme)
+            delta = [report.f0.hilbert(n) - h for n, h in enumerate(report.h)]
+            assert report.f1 == greedy_free_module_reference(delta), scheme
+
+
+def test_assembly_expands_no_free_module(monkeypatch):
+    """Assembly costs one pass over the degrees: resolve never sums a free
+    module's Hilbert function over its shifts."""
+    calls = []
+    original = GradedFreeModule.hilbert
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(GradedFreeModule, "hilbert", counted)
+    report = resolve(FatPointScheme(uniform_config(20), (300,) * 20))
+    assert calls == []
+    # the modules the greedy assembly gave: a period of 11 degrees
+    f0, f1 = {900: 1}, {}
+    for k in range(0, 1100, 11):
+        f0.update({904 + k: 1, 905 + k: 1, 908 + k: 2, 912 + k: 3})
+        f1.update({906 + k: 2, 909 + k: 1, 910 + k: 1, 913 + k: 3})
+    assert report.f0 == GradedFreeModule(f0)
+    assert report.f1 == GradedFreeModule(f1)
