@@ -64,10 +64,14 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _as_int_list(value, where: str) -> list[int]:
+def _as_list(value, message: str) -> list:
     if not isinstance(value, list):
-        raise _schema_error(f"{where} must be a list of integers")
-    return [_as_int(v, where) for v in value]
+        raise _schema_error(message)
+    return value
+
+
+def _as_int_list(value, where: str) -> list[int]:
+    return [_as_int(v, where) for v in _as_list(value, f"{where} must be a list of integers")]
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
@@ -77,10 +81,8 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 
 
 def _parse_points(raw, where: str) -> tuple[Point, ...]:
-    if not isinstance(raw, list):
-        raise _schema_error(f"{where} must be a list of point objects")
     points = []
-    for entry in raw:
+    for entry in _as_list(raw, f"{where} must be a list of point objects"):
         if not isinstance(entry, dict):
             raise _schema_error(f"each entry of {where} must be an object")
         _check_keys(entry, {"id", "parent"}, where)
@@ -119,7 +121,7 @@ def _parse_lambda_spec(raw) -> LambdaSpec:
         raise _schema_error("lambda_spec is missing its kind")
     order = raw.get("order")
     members = []
-    for entry in raw.get("members", []):
+    for entry in _as_list(raw.get("members", []), "lambda_spec.members must be a list"):
         if not isinstance(entry, dict):
             raise _schema_error("each lambda_spec member must be an object")
         _check_keys(entry, {"d", "m"}, "lambda_spec.members")
@@ -148,6 +150,10 @@ def parse_config(path: str) -> tuple[PointConfig, FatPointScheme]:
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
             rule="config-parse",
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(
+            f"{path}: JSON nested too deeply to parse", rule="config-parse"
+        ) from exc
     if not isinstance(data, dict):
         raise _schema_error(f"{path}: top level must be an object")
     _check_keys(data, _TOP_KEYS, path)
@@ -157,14 +163,13 @@ def parse_config(path: str) -> tuple[PointConfig, FatPointScheme]:
     if not isinstance(data["curve_kind"], str):
         raise _schema_error("curve_kind must be a string")
 
-    lines_raw = data.get("lines", [])
-    if not isinstance(lines_raw, list):
-        raise _schema_error("lines must be a list of id lists")
+    lines_raw = _as_list(data.get("lines", []), "lines must be a list of id lists")
     lines = tuple(tuple(_as_int_list(line, "lines")) for line in lines_raw)
 
-    extras_raw = data.get("extra_proximities", [])
-    if not isinstance(extras_raw, list):
-        raise _schema_error("extra_proximities must be a list of [point, ancestor] pairs")
+    extras_raw = _as_list(
+        data.get("extra_proximities", []),
+        "extra_proximities must be a list of [point, ancestor] pairs",
+    )
     extras = []
     for pair in extras_raw:
         values = _as_int_list(pair, "extra_proximities")

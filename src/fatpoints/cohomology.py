@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from .configuration import FatPointScheme, PointConfig, check_proximity, validate
 from .lattice import (
     ClassVector,
-    canonical_class,
-    exceptional_class,
-    intersect,
+    anticanonical_degree,
     nef_basis_coefficients,
     zero_class,
 )
@@ -53,10 +51,8 @@ def make_context(config: PointConfig) -> CaseContext:
 
 def chi(f: ClassVector) -> int:
     """Euler characteristic (F.F - K.F)/2 + 1."""
-    total = f.square() - intersect(canonical_class(f.r), f)
-    if total % 2:
-        raise RuntimeError(f"internal error: odd Riemann-Roch numerator for {f}")
-    return total // 2 + 1
+    # the numerator d(d+3) - sum(m(m+1)) is a sum of even products
+    return (f.square() + anticanonical_degree(f)) // 2 + 1
 
 
 def regularity_bound(scheme: FatPointScheme) -> int:
@@ -105,7 +101,8 @@ def h0_flex(f: ClassVector) -> CohomologyAnswer:
         h1 = 1
         note = "nef with restriction degree zero and positive square"
     else:
-        h1 = intersect(f, exceptional_class(1, f.r))
+        # f is m[0] copies of the nine-point cubic class, and h1 is f.E1
+        h1 = f.m[0]
         note = "multiple of the nine-point cubic class"
     h0 = chi(f) + h1
     if h0 < 0:

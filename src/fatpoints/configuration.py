@@ -10,6 +10,7 @@ a configuration with a multiplicity vector.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .lattice import ClassVector, canonical_class
@@ -172,7 +173,8 @@ class FatPointScheme:
     multiplicities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "multiplicities", tuple(int(v) for v in self.multiplicities))
+        # operator.index refuses a float instead of truncating it
+        object.__setattr__(self, "multiplicities", tuple(map(operator.index, self.multiplicities)))
         if len(self.multiplicities) != self.config.r:
             raise ValidationError(
                 f"multiplicity count mismatch: {len(self.multiplicities)} values for "

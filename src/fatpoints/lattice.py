@@ -4,7 +4,7 @@ The class group of the blowup at r points has basis e0, e1, ..., er with
 e0.e0 = 1, ei.ei = -1, and distinct basis classes orthogonal.  A ClassVector
 stores the degree d against e0 together with the multiplicity vector m, and
 denotes the class d*e0 - m[0]*e1 - ... - m[r-1]*er.  All arithmetic is exact
-(Python integers).
+(Python ints, never coerced: ``zariski.check_rank`` refuses anything else).
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ class ClassVector:
 
     d: int
     m: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
-        object.__setattr__(self, "d", int(self.d))
 
     @property
     def r(self) -> int:
@@ -99,6 +95,12 @@ def canonical_class(r: int) -> ClassVector:
     return ClassVector(-3, (-1,) * r)
 
 
+def anticanonical_degree(f: ClassVector) -> int:
+    """The pairing f.(-K) = 3d - sum(m): the degree of f restricted to a
+    cubic through the points."""
+    return 3 * f.d - sum(f.m)
+
+
 def extend_rank(f: ClassVector, r: int) -> ClassVector:
     """Reinterpret f on a larger blowup by appending zero multiplicities."""
     if r < f.r:
@@ -153,5 +155,4 @@ def nef_basis_coefficients(f: ClassVector) -> NefBasisCoefficients:
     for i in range(1, r):
         a[i] = f.m[i - 1] - f.m[i]
     a[0] = f.d - f.m[0] - f.m[1] - f.m[2]
-    minus_k = intersect(-canonical_class(r), f)
-    return NefBasisCoefficients(tuple(a), minus_k)
+    return NefBasisCoefficients(tuple(a), anticanonical_degree(f))

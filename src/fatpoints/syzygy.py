@@ -12,13 +12,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .configuration import FatPointScheme, UnsupportedRuleError
-from .lattice import (
-    ClassVector,
-    canonical_class,
-    e0_class,
-    intersect,
-    nef_basis_coefficients,
-)
+from .lattice import ClassVector, anticanonical_degree, nef_basis_coefficients
 from .cohomology import (
     CaseContext,
     CohomologyAnswer,
@@ -43,7 +37,7 @@ class SyzygyAnswer:
 def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     check_uniform_class(h)
     r = h.r
-    mk = intersect(-canonical_class(r), h)
+    mk = anticanonical_degree(h)
     if mk < 0:
         raise ValueError(f"s_of_nef expects a nef class, got {h}")
     if mk > 1:
@@ -56,9 +50,9 @@ def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
         return SyzygyAnswer(1, "uniform-ten-point-boundary")
     if r > 10:
         return SyzygyAnswer(0, "uniform-trivial-restriction")
-    # r == 9 and mk == 0 force a multiple of the cubic.
+    # r == 9 and mk == 0 force a multiple (3c; c^9) of the cubic.
     c = h.m[0]
-    if c < 0 or h != c * (-canonical_class(9)):
+    if c < 0:
         raise ValueError(f"s_of_nef expects a moving part, got {h}")
     shift, multiple = kernel_multiple_data(c, context.config.lambda_spec, 9)
     if shift:
@@ -66,13 +60,6 @@ def _uniform_nef_answer(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     # c is `multiple` times the least kernel order, and each multiple adds
     # 3 * (order - 1) syzygies
     return SyzygyAnswer(3 * (c - multiple), "uniform-kernel-multiple")
-
-
-def _flex_shape(h: ClassVector) -> tuple[tuple[int, ...], int]:
-    coeffs = nef_basis_coefficients(h)
-    if min(coeffs.a) < 0 or coeffs.minus_k_pairing < 0:
-        raise ValueError(f"s_of_nef expects a nef class, got {h}")
-    return coeffs.a, coeffs.minus_k_pairing
 
 
 def _is_flex_composite(a: tuple[int, ...], r: int) -> bool:
@@ -85,13 +72,14 @@ def _is_flex_composite(a: tuple[int, ...], r: int) -> bool:
 
 
 def _flex_nef_answer(h: ClassVector) -> SyzygyAnswer:
-    a, mk = _flex_shape(h)
-    r = h.r
+    """The fixed-locus rule for a composite nef flex class, else the nef
+    table, both from one solve for the nef-basis coordinates."""
+    coeffs = nef_basis_coefficients(h)
+    a, mk, r = coeffs.a, coeffs.minus_k_pairing, h.r
+    if min(a) < 0 or mk < 0:
+        raise ValueError(f"s_of_nef expects a nef class, got {h}")
     if _is_flex_composite(a, r):
-        raise ValueError(
-            f"{h} is a cubic pencil class plus kernel multiples; its syzygy "
-            "count comes from the fixed-locus rule, not the nef table"
-        )
+        return SyzygyAnswer(a[9] + 1, RULE_FLEX_COMPOSITE)
     j = max((i for i, v in enumerate(a) if v > 0), default=0)
     boundary = mk == 1 or (mk == 0 and j == 10)
     if any(a[i] > 0 for i in range(min(8, r + 1))):
@@ -117,16 +105,14 @@ def s_of_nef(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     if kind == "cubic_uniform":
         return _uniform_nef_answer(h, context)
     if kind == "cubic_flex":
-        return _flex_nef_answer(h)
+        answer = _flex_nef_answer(h)
+        if answer.rule == RULE_FLEX_COMPOSITE:
+            raise ValueError(
+                f"{h} is a cubic pencil class plus kernel multiples; its syzygy "
+                "count comes from the fixed-locus rule, not the nef table"
+            )
+        return answer
     raise UnsupportedRuleError(f"no syzygy rules for curve kind {kind}")
-
-
-def _moving_syzygies(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
-    if context.config.curve_kind == "cubic_flex":
-        a, _ = _flex_shape(h)
-        if _is_flex_composite(a, h.r):
-            return SyzygyAnswer(a[9] + 1, RULE_FLEX_COMPOSITE)
-    return s_of_nef(h, context)
 
 
 def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) -> SyzygyAnswer:
@@ -174,11 +160,15 @@ def _generator_count(
         # not effective
         return SyzygyAnswer(up, RULE_INITIAL_GENERATORS)
     moving = here.moving_part
-    base = _moving_syzygies(moving, context)
+    if context.config.curve_kind == "cubic_flex":
+        base = _flex_nef_answer(moving)
+    else:
+        base = s_of_nef(moving, context)
     # moving + e0 is nef and regular: on a line or conic every nef class is,
     # and on the cubic it has restriction degree at least 3, where the cubic
-    # rules give h1 = 0 too.  So its sections are chi, with no decomposition.
-    moving_up = chi(moving + e0_class(moving.r))
+    # rules give h1 = 0 too.  So its sections are chi, with no decomposition,
+    # and adding e0 raises chi by d + 2.
+    moving_up = chi(moving) + moving.d + 2
     value = base.value + up - moving_up
     if value < 0:
         raise RuntimeError(f"internal error: negative syzygy count at degree {f.d}")

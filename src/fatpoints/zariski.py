@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .configuration import LambdaSpec, PointConfig, UnsupportedRuleError
 from .lattice import (
     ClassVector,
+    anticanonical_degree,
     canonical_class,
     e0_class,
     exceptional_class,
@@ -140,6 +141,10 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
 
 
 def check_rank(f: ClassVector, config: PointConfig) -> None:
+    # Classes are never coerced, so a float, bool or numpy entry is refused
+    # here; type() rather than isinstance, since bool is a subclass of int.
+    if type(f.d) is not int or type(f.m) is not tuple or any(type(v) is not int for v in f.m):
+        raise ValueError(f"class entries must be Python ints in a tuple, got {f!r}")
     if f.r != config.r:
         raise ValueError(f"class of rank {f.r} does not match {config.r} points")
 
@@ -178,8 +183,7 @@ def is_nef(f: ClassVector, context: CaseContext) -> bool:
     if config.curve_kind == "cubic_uniform":
         check_uniform_class(f)
         m = f.m[0]
-        t = f.d - 3 * m
-        return m >= 0 and t >= 0 and 3 * t + (9 - f.r) * m >= 0
+        return m >= 0 and f.d >= 3 * m and anticanonical_degree(f) >= 0
     return f.d >= 0 and _first_negative(f, context) is None
 
 
@@ -281,8 +285,7 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
             ("not effective: degree below three times the multiplicity",),
         )
 
-    # u is the degree of the class restricted to the cubic.
-    u = 3 * t + (9 - r) * m
+    u = anticanonical_degree(current)
     extra = 0
     if m == 0:
         count, notes = 0, ("plane curves of the given degree",)
@@ -314,7 +317,7 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
                 minus_k,
                 KIND_CUBIC,
                 "D",
-                intersect(minus_k, current),
+                u,
                 minus_k.square(),
                 RULE_UNIFORM_CUBIC,
                 count,

@@ -214,3 +214,65 @@ def test_bad_subcommand_exit_one(capsys):
 def test_run_spec_direct():
     spec = RunSpec(command="negcurves", input_path=GOLDEN, output_format="machine")
     assert run(spec) == 0
+
+
+SWEEP_BASES = {
+    "uniform-members": {
+        "curve_kind": "cubic_uniform",
+        "points": [{"id": i} for i in range(1, 11)],
+        "lambda_spec": {"kind": "members", "members": [{"d": -6, "m": [-2] * 10}]},
+        "multiplicities": [2] * 10,
+    },
+    "two-lines-near-point": json.loads(Path(GOLDEN).read_text()),
+}
+SWEEP_VALUES = [None, 5, 2.5, True, "x", {}, [], [None]]
+
+
+def json_paths(node, prefix=()):
+    """The path of every value inside a parsed JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from json_paths(child, prefix + (key,))
+
+
+def with_value(document, path, value):
+    out = json.loads(json.dumps(document))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("base", list(SWEEP_BASES))
+def test_schema_sweep_never_escapes(capsys, tmp_path, base):
+    """Every field of a valid config, set to a value of each JSON type, ends in
+    a documented exit code.  Only null, an integer or an empty list can still
+    be valid."""
+    path = tmp_path / "config.json"
+    bad = []
+    for field in json_paths(SWEEP_BASES[base]):
+        for value in SWEEP_VALUES:
+            path.write_text(json.dumps(with_value(SWEEP_BASES[base], field, value)))
+            for command in ("resolve", "hilbert"):
+                valid = value is None or type(value) is int or value == []
+                allowed = (0, 1, 2) if valid else (1, 2)
+                code = run(RunSpec(command, str(path)))
+                if code not in allowed:
+                    bad.append((field, value, command, code))
+    capsys.readouterr()
+    assert bad == []
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    for command in ("resolve", "hilbert"):
+        assert run(RunSpec(command, str(path))) == 1
+        assert "error [config-parse]" in capsys.readouterr().err

@@ -18,7 +18,13 @@ from fatpoints.configuration import (
     PointConfig,
     UnsupportedRuleError,
 )
-from fatpoints.lattice import ClassVector, nef_basis_class, zero_class
+from fatpoints.lattice import (
+    ClassVector,
+    canonical_class,
+    intersect,
+    nef_basis_class,
+    zero_class,
+)
 from fatpoints.zariski import NotEffective
 
 GOLDEN_CONIC = PointConfig(
@@ -50,6 +56,16 @@ def test_chi_values():
     assert chi(ClassVector(2, (0, 1, 1, 0, 1, 0))) == 3
     assert chi(ClassVector(5, (1,) * 12)) == 9
     assert chi(ClassVector(4, (0,) * 5)) == 15
+
+
+def test_chi_matches_riemann_roch_reference():
+    rng = random.Random(20)
+    for _ in range(500):
+        r = rng.randint(1, 20)
+        f = ClassVector(rng.randint(-50, 50), tuple(rng.randint(-50, 50) for _ in range(r)))
+        numerator = f.square() - intersect(canonical_class(r), f)
+        assert numerator % 2 == 0
+        assert chi(f) == numerator // 2 + 1
 
 
 def test_regularity_bound_golden():

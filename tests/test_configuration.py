@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fatpoints.configuration import (
@@ -263,3 +264,11 @@ def test_line_partition_data_rejects_unsorted():
         line_partition_data((1, 2))
     with pytest.raises(ValueError):
         line_partition_data((2, 0))
+
+
+def test_scheme_multiplicities_are_ints():
+    with pytest.raises(TypeError):
+        FatPointScheme(line_config(1), (2.7,))
+    scheme = FatPointScheme(line_config(2), (np.int64(3), 2))
+    assert scheme.multiplicities == (3, 2)
+    assert all(type(v) is int for v in scheme.multiplicities)

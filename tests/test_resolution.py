@@ -1,11 +1,12 @@
 import itertools
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fatpoints import zariski
+from fatpoints import lattice, zariski
 from fatpoints.cli import parse_config
 from fatpoints.cohomology import h0_any, make_context
 from fatpoints.configuration import (
@@ -190,6 +191,38 @@ def test_resolve_decomposes_each_degree_once(decompositions):
         decompositions.clear()
         report = resolve(scheme)
         assert 0 < len(decompositions) <= report.cutoff + 4
+
+
+@pytest.fixture
+def class_builders(monkeypatch):
+    """Calls of canonical_class and e0_class, wherever the package calls them."""
+    calls = Counter()
+    for original in (lattice.canonical_class, lattice.e0_class):
+
+        def counted(r, original=original):
+            calls[original.__name__] += 1
+            return original(r)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fatpoints") and getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
+def test_resolve_builds_no_class_per_degree(class_builders):
+    """Only the candidate list builds -K or e0, so the count does not grow
+    with the cutoff.  (The uniform cubic's D step builds -K as trace content.)"""
+    flex = PointConfig(
+        curve_kind="cubic_flex",
+        points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, 13)),
+    )
+    for base in (GOLDEN_SCHEME, FatPointScheme(flex, (3,) * 12)):
+        counts = []
+        for k in (1, 3):
+            class_builders.clear()
+            resolve(FatPointScheme(base.config, tuple(k * v for v in base.multiplicities)))
+            counts.append(dict(class_builders))
+        assert counts[0] == counts[1]
 
 
 def test_resolve_counts_match_s_dim():

@@ -2,11 +2,12 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fatpoints import zariski
 from fatpoints.cli import parse_config
-from fatpoints.cohomology import make_context
+from fatpoints.cohomology import h0_any, make_context
 from fatpoints.configuration import (
     ConicShape,
     LambdaSpec,
@@ -22,6 +23,7 @@ from fatpoints.lattice import (
     nef_basis_coefficients,
     zero_class,
 )
+from fatpoints.syzygy import s_of_nef
 from fatpoints.zariski import (
     NotEffective,
     is_nef,
@@ -353,3 +355,29 @@ def test_kernel_multiple_data():
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         zariski_decompose(ClassVector(1, (1,)), make_context(GOLDEN_CONIC))
+
+
+
+def non_int_classes(r):
+    """Classes of rank r that a coercing constructor would have accepted."""
+    m = (1,) * r
+    return {
+        "float-d": ClassVector(3.0, m),
+        "float-m": ClassVector(3, (1.5,) + m[1:]),
+        "bool-d": ClassVector(True, m),
+        "bool-m": ClassVector(3, (True,) + m[1:]),
+        "numpy-d": ClassVector(np.int64(3), m),
+        "numpy-m": ClassVector(3, (np.int64(1),) + m[1:]),
+        "list-m": ClassVector(3, list(m)),
+    }
+
+
+@pytest.mark.parametrize("kind", list(non_int_classes(1)))
+def test_non_int_class_rejected(kind):
+    """Classes are never coerced: each public call with a context refuses them."""
+    for config in (GOLDEN_CONIC, uniform_config(10), flex_config(6)):
+        f = non_int_classes(config.r)[kind]
+        ctx = make_context(config)
+        for call in (zariski_decompose, h0_any, is_nef, s_of_nef):
+            with pytest.raises(ValueError):
+                call(f, ctx)
