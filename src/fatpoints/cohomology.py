@@ -2,7 +2,8 @@
 
 Every path reduces to the Euler characteristic of a nef moving part plus a
 correction known in closed form, so the only arithmetic is exact pairing
-evaluations.  The answers carry short notes naming the rule that produced
+evaluations.  The same case rule gives the moving part's minimal syzygy
+count.  The answers carry short notes naming the rule that produced
 them, which the CLI surfaces in traces.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .configuration import FatPointScheme, PointConfig, check_proximity, validate
+from .configuration import FatPointScheme, LambdaSpec, PointConfig, check_proximity, validate
 from .lattice import (
     ClassVector,
     anticanonical_degree,
@@ -21,25 +22,39 @@ from .zariski import (
     CaseContext,
     NotEffective,
     ZariskiDecomposition,
+    kernel_multiple_data,
     loop_candidates,
     uniform_cubic_rule,
     zariski_decompose,
 )
 
+RULE_FLEX_COMPOSITE = "flex-composite"
+
+
+@dataclass(frozen=True)
+class SyzygyAnswer:
+    value: int
+    rule: str
+
+
+RATIONAL_NORMAL_SYZYGIES = SyzygyAnswer(0, "rational-normal-restriction")
+
 
 @dataclass(frozen=True)
 class CohomologyAnswer:
-    """h0/h1 of a class, the nef moving part used, and rule notes.
+    """h0/h1 of a class, the nef moving part used, rule notes, and the
+    minimal syzygy count of the moving part from the same case rule.
 
-    h1 is None when the class is not effective (nothing forces a value there).
-    Whenever h1 is reported, h0 - h1 equals the Euler characteristic of the
-    queried class.
+    h1 and syzygies are None when the class is not effective (nothing forces
+    a value there).  Whenever h1 is reported, h0 - h1 equals the Euler
+    characteristic of the queried class.
     """
 
     h0: int
     h1: int | None
     moving_part: ClassVector
     notes: tuple[str, ...]
+    syzygies: SyzygyAnswer | None
 
 
 def make_context(config: PointConfig) -> CaseContext:
@@ -61,8 +76,55 @@ def regularity_bound(scheme: FatPointScheme) -> int:
     return sum(scheme.multiplicities) - 1
 
 
-def _not_effective_answer(f: ClassVector, reason: str) -> CohomologyAnswer:
-    return CohomologyAnswer(0, None, zero_class(f.r), (f"not effective: {reason}",))
+def uniform_syzygies(h: ClassVector, spec: LambdaSpec) -> SyzygyAnswer:
+    """Syzygy count for a nef uniform class on a smooth cubic with kernel
+    ``spec``."""
+    mk = anticanonical_degree(h)
+    if mk < 0:
+        raise ValueError(f"s_of_nef expects a nef class, got {h}")
+    if mk > 1:
+        return SyzygyAnswer(0, "uniform-ample-restriction")
+    if mk == 1:
+        return SyzygyAnswer(1, "uniform-degree-one-restriction")
+    if h.is_zero():
+        return SyzygyAnswer(0, "uniform-zero-class")
+    if h.r == 10:
+        return SyzygyAnswer(1, "uniform-ten-point-boundary")
+    if h.r > 10:
+        return SyzygyAnswer(0, "uniform-trivial-restriction")
+    # r == 9 and mk == 0 force a multiple (3c; c^9) of the cubic.
+    c = h.m[0]
+    if c < 0:
+        raise ValueError(f"s_of_nef expects a moving part, got {h}")
+    shift, multiple = kernel_multiple_data(c, spec, 9)
+    if shift:
+        raise ValueError(f"{h} is not a moving part for the given kernel")
+    # c is `multiple` times the least kernel order, and each multiple adds
+    # 3 * (order - 1) syzygies
+    return SyzygyAnswer(3 * (c - multiple), "uniform-kernel-multiple")
+
+
+def _flex_syzygies(a: tuple[int, ...], mk: int) -> SyzygyAnswer:
+    """The fixed-locus rule for a composite nef flex class with nef-basis
+    coordinates ``a`` and -K pairing ``mk``, else the nef table."""
+    r = len(a) - 1
+    # a is nonnegative, so any() tests for a positive coordinate
+    if r >= 9 and a[8] == 1 and any(a[9:11]) and not any(a[:8] + a[11:]):
+        return SyzygyAnswer(a[9] + 1, RULE_FLEX_COMPOSITE)
+    j = max((i for i, v in enumerate(a) if v > 0), default=0)
+    boundary = mk == 1 or (mk == 0 and j == 10)
+    if any(a[:8]):
+        if boundary:
+            return SyzygyAnswer(1, "flex-low-index-boundary")
+        return SyzygyAnswer(0, "flex-low-index")
+    b8 = a[8] if r >= 8 else 0
+    if b8 == 0:
+        return SyzygyAnswer(0, "flex-kernel-multiples")
+    if b8 == 1:
+        return SyzygyAnswer(1, "flex-cubic-pencil")
+    if boundary:
+        return SyzygyAnswer(2, "flex-high-index-boundary")
+    return SyzygyAnswer(1, "flex-high-index")
 
 
 def _flex_base_locus_note(f: ClassVector, a: tuple[int, ...], mk: int) -> str:
@@ -89,7 +151,8 @@ def _flex_base_locus_note(f: ClassVector, a: tuple[int, ...], mk: int) -> str:
 
 
 def h0_flex(f: ClassVector) -> CohomologyAnswer:
-    """Sections of a nef class for a chain of points at a flex of a cubic."""
+    """Sections and syzygy count of a nef class for a chain of points at a
+    flex of a cubic."""
     coeffs = nef_basis_coefficients(f)
     mk = coeffs.minus_k_pairing
     if min(coeffs.a) < 0 or mk < 0:
@@ -107,33 +170,37 @@ def h0_flex(f: ClassVector) -> CohomologyAnswer:
     h0 = chi(f) + h1
     if h0 < 0:
         raise RuntimeError(f"internal error: negative section count for {f}")
-    return CohomologyAnswer(h0, h1, f, (note, _flex_base_locus_note(f, coeffs.a, mk)))
+    notes = (note, _flex_base_locus_note(f, coeffs.a, mk))
+    return CohomologyAnswer(h0, h1, f, notes, _flex_syzygies(coeffs.a, mk))
 
 
 def h0_with_decomposition(
     f: ClassVector, context: CaseContext
 ) -> tuple[CohomologyAnswer, ZariskiDecomposition | NotEffective]:
-    """One decomposition pass feeding both the section count and the trace."""
+    """One decomposition pass feeding the section and syzygy counts and the trace."""
     kind = context.config.curve_kind
     if kind == "cubic_uniform":
         rule = uniform_cubic_rule(f, context)
         dec = rule.decomposition
         if isinstance(dec, NotEffective):
-            return CohomologyAnswer(0, None, zero_class(f.r), rule.notes), dec
+            return CohomologyAnswer(0, None, zero_class(f.r), rule.notes, None), dec
         h0, notes = chi(dec.moving) + rule.extra_sections, rule.notes
+        syzygies = uniform_syzygies(dec.moving, context.config.lambda_spec)
     else:
         dec = zariski_decompose(f, context)
         if isinstance(dec, NotEffective):
-            return _not_effective_answer(f, dec.reason), dec
+            notes = (f"not effective: {dec.reason}",)
+            return CohomologyAnswer(0, None, zero_class(f.r), notes, None), dec
         if kind == "cubic_flex":
             base = h0_flex(dec.moving)
-            h0, notes = base.h0, base.notes
+            h0, notes, syzygies = base.h0, base.notes, base.syzygies
         else:
             h0, notes = chi(dec.moving), ("nef moving part is regular",)
+            syzygies = RATIONAL_NORMAL_SYZYGIES
     h1 = h0 - chi(f)
     if h1 < 0:
         raise RuntimeError(f"internal error: negative h1 for {f}")
-    return CohomologyAnswer(h0, h1, dec.moving, notes), dec
+    return CohomologyAnswer(h0, h1, dec.moving, notes, syzygies), dec
 
 
 def h0_any(f: ClassVector, context: CaseContext) -> CohomologyAnswer:
@@ -143,6 +210,7 @@ def h0_any(f: ClassVector, context: CaseContext) -> CohomologyAnswer:
 __all__ = [
     "CaseContext",
     "CohomologyAnswer",
+    "SyzygyAnswer",
     "chi",
     "h0_any",
     "h0_flex",

@@ -18,12 +18,7 @@ from .configuration import (
     proximity_matrix,
     validate,
 )
-from .lattice import (
-    ClassVector,
-    canonical_class,
-    e0_class,
-    exceptional_class,
-)
+from .lattice import ClassVector, canonical_class, exceptional_class
 
 KIND_EXCEPTIONAL = "exceptional_component"
 KIND_LINE = "line"
@@ -65,20 +60,18 @@ def _exceptional_components(config: PointConfig) -> list[NegativeCurve]:
     r = config.r
     out = []
     for i in range(1, r + 1):
-        cls = exceptional_class(i, r)
-        label = f"E{i}"
-        for j in prox.points_proximate_to(i):
-            cls = cls - exceptional_class(j, r)
-            label += f" - E{j}"
-        out.append(NegativeCurve(cls, KIND_EXCEPTIONAL, label))
+        proximate = prox.points_proximate_to(i)
+        # E_i minus each E_j proximate to it
+        m = [1 if j in proximate else 0 for j in range(1, r + 1)]
+        m[i - 1] = -1
+        label = f"E{i}" + "".join(f" - E{j}" for j in proximate)
+        out.append(NegativeCurve(ClassVector(0, tuple(m)), KIND_EXCEPTIONAL, label))
     return out
 
 
-def _line_class(members: tuple[int, ...], r: int) -> ClassVector:
-    cls = e0_class(r)
-    for i in members:
-        cls = cls - exceptional_class(i, r)
-    return cls
+def line_class(members: tuple[int, ...], r: int) -> ClassVector:
+    """The line class e0 minus the exceptional class of each member."""
+    return ClassVector(1, tuple(1 if i in members else 0 for i in range(1, r + 1)))
 
 
 def _pair_members(config: PointConfig) -> list[tuple[int, ...]]:
@@ -139,14 +132,11 @@ def negative_curves(config: PointConfig) -> NegativeCurveList:
     line_members.update(_pair_members(config))
     for members in sorted(line_members):
         label = "L(" + ",".join(str(i) for i in members) + ")"
-        entries.append(NegativeCurve(_line_class(members, r), KIND_LINE, label))
+        entries.append(NegativeCurve(line_class(members, r), KIND_LINE, label))
 
     shape = config.conic_shape
     if shape is not None and shape.kind == "smooth" and r >= 5:
-        conic = 2 * e0_class(r)
-        for i in range(1, r + 1):
-            conic = conic - exceptional_class(i, r)
-        entries.append(NegativeCurve(conic, KIND_CONIC, "Q"))
+        entries.append(NegativeCurve(ClassVector(2, (1,) * r), KIND_CONIC, "Q"))
     return NegativeCurveList(tuple(entries))
 
 
@@ -163,13 +153,10 @@ def flex_candidate_fixed_classes(r: int) -> NegativeCurveList:
         raise UnsupportedRuleError(
             "flex rules need the triple tangent line, hence at least three points"
         )
-    tangent = e0_class(r)
-    for i in (1, 2, 3):
-        tangent = tangent - exceptional_class(i, r)
     entries = [NegativeCurve(-canonical_class(r), KIND_CUBIC, "D")] if r > 9 else []
-    entries.append(NegativeCurve(tangent, KIND_LINE, "L(1,2,3)"))
+    entries.append(NegativeCurve(line_class((1, 2, 3), r), KIND_LINE, "L(1,2,3)"))
     for i in range(1, r):
-        cls = exceptional_class(i, r) - exceptional_class(i + 1, r)
+        cls = ClassVector(0, (0,) * (i - 1) + (-1, 1) + (0,) * (r - i - 1))
         entries.append(NegativeCurve(cls, KIND_EXCEPTIONAL, f"E{i} - E{i + 1}"))
     entries.append(NegativeCurve(exceptional_class(r, r), KIND_EXCEPTIONAL, f"E{r}"))
     return NegativeCurveList(tuple(entries))

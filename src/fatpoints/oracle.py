@@ -508,7 +508,7 @@ def oracle_report(
     nu_values = tuple(reduced.generators(d) for d in degrees)
     answers = [h0_any(scheme.to_class(d), context) for d in degrees]
     pipeline_h = tuple(answer.h0 for answer in answers)
-    counts = generator_counts(scheme, answers, context, reg)
+    counts = generator_counts(scheme, answers, reg)
     pipeline_nu = tuple(count.value for count in counts)
     return OracleReport(p, seed, degrees, h_values, nu_values, pipeline_h, pipeline_nu)
 

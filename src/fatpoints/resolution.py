@@ -9,6 +9,7 @@ other.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -39,12 +40,13 @@ class GradedFreeModule:
     def __post_init__(self) -> None:
         cleaned: dict[int, int] = {}
         for degree in sorted(self.shifts):
-            mult = self.shifts[degree]
+            # operator.index refuses a float instead of truncating it
+            mult = operator.index(self.shifts[degree])
             if mult < 1:
                 raise ValueError(
                     f"multiplicity at degree {degree} must be positive, got {mult}"
                 )
-            cleaned[int(degree)] = int(mult)
+            cleaned[operator.index(degree)] = mult
         object.__setattr__(self, "shifts", cleaned)
 
     def rank(self) -> int:
@@ -107,7 +109,7 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
     table = [h0_with_decomposition(scheme.to_class(d), context) for d in range(top + 1)]
     answers = [answer for answer, _ in table]
     h_ext = [answer.h0 for answer in answers]
-    counts = generator_counts(scheme, answers, context, reg)[: cutoff + 1]
+    counts = generator_counts(scheme, answers, reg)[: cutoff + 1]
     nu = [count.value for count in counts]
     traces = tuple(
         DegreeTrace(

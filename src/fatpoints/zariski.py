@@ -22,7 +22,6 @@ from .lattice import (
     ClassVector,
     anticanonical_degree,
     canonical_class,
-    e0_class,
     exceptional_class,
     intersect,
 )
@@ -32,6 +31,7 @@ from .negcurves import (
     KIND_LINE,
     NegativeCurve,
     flex_candidate_fixed_classes,
+    line_class,
     negative_curves,
 )
 
@@ -79,9 +79,8 @@ class ZariskiDecomposition:
 class CaseContext:
     """A validated configuration with the candidate classes its loop subtracts.
 
-    Build it with ``cohomology.make_context``.  The uniform cubic has no
-    candidates: its closed-form rule needs only the configuration's kernel
-    spec.
+    Build it with ``cohomology.make_context``.  The uniform cubic's one
+    candidate is the cubic D = -K, whose copies its closed-form rule takes.
     """
 
     config: PointConfig
@@ -110,12 +109,15 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
 
     Lines and conics subtract the pencils of lines through their proper
     points and their enumerated negative curves, flex chains the classes
-    dual to the nef basis.  The uniform cubic needs none.
+    dual to the nef basis, and the uniform cubic the cubic D alone.
     """
     kind = config.curve_kind
+    r = config.r
     candidates = []
     if kind == "cubic_flex":
-        candidates = list(flex_candidate_fixed_classes(config.r))
+        candidates = list(flex_candidate_fixed_classes(r))
+    elif kind == "cubic_uniform":
+        candidates = [NegativeCurve(-canonical_class(r), KIND_CUBIC, "D")]
     elif kind in ("line", "conic"):
         # The lines through a proper point form a pencil of square zero, so
         # the enumeration omits it.  The pencil is nef, so a class meeting it
@@ -123,14 +125,13 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
         # degree), and its copies drive the degree negative in one step.  It
         # comes first: past it, a line and an exceptional class would trade
         # single copies until the degree turned negative.
-        r = config.r
         candidates = [
-            NegativeCurve(e0_class(r) - exceptional_class(pt.id, r), KIND_LINE, f"L({pt.id})")
+            NegativeCurve(line_class((pt.id,), r), KIND_LINE, f"L({pt.id})")
             for pt in config.points
             if pt.parent is None
         ]
         candidates.extend(negative_curves(config))
-    ample = _ample_witness(config.r)
+    ample = _ample_witness(r)
     for entry in candidates:
         if intersect(ample, entry.cls) < 1:
             raise RuntimeError(
@@ -256,6 +257,7 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
     check_rank(f, config)
     check_uniform_class(f)
     r = config.r
+    minus_k = context.candidates[0].cls
     m = f.m[0]
     steps: list[SubtractionStep] = []
     current = f
@@ -303,7 +305,7 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
         count = (-u + (r - 9) - 1) // (r - 9)
         notes = (f"fixed part is {count} copies of the cubic",)
         if u + count * (r - 9) == 0:
-            if config.lambda_spec.contains(current + count * canonical_class(r)):
+            if config.lambda_spec.contains(current - count * minus_k):
                 extra = 1
                 notes += ("moving part lies in the restriction kernel: one extra section",)
             else:
@@ -311,7 +313,6 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
                 notes = (f"fixed part is {count} copies of the cubic",)
 
     if count:
-        minus_k = -canonical_class(r)
         steps.append(
             SubtractionStep(
                 minus_k,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from fatpoints import lattice, zariski
+from fatpoints import cohomology, lattice, syzygy, zariski
 from fatpoints.cli import parse_config
 from fatpoints.cohomology import h0_any, make_context
 from fatpoints.configuration import (
@@ -25,6 +25,7 @@ from fatpoints.resolution import (
     resolve_line_closed_form,
 )
 from fatpoints.lattice import ClassVector
+from fatpoints.oracle import oracle_report
 from fatpoints.syzygy import s_dim
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +73,12 @@ def test_graded_free_module():
 def test_graded_free_module_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         GradedFreeModule({5: 0})
+
+
+def test_graded_free_module_refuses_floats():
+    for shifts in ({2.5: 1.7}, {2: 1.7}, {2.5: 1}):
+        with pytest.raises(TypeError):
+            GradedFreeModule(shifts)
 
 
 def test_golden_resolution():
@@ -193,15 +200,14 @@ def test_resolve_decomposes_each_degree_once(decompositions):
         assert 0 < len(decompositions) <= report.cutoff + 4
 
 
-@pytest.fixture
-def class_builders(monkeypatch):
-    """Calls of canonical_class and e0_class, wherever the package calls them."""
+def count_package_calls(monkeypatch, originals):
+    """Calls of each of ``originals``, by name, wherever the package calls it."""
     calls = Counter()
-    for original in (lattice.canonical_class, lattice.e0_class):
+    for original in originals:
 
-        def counted(r, original=original):
+        def counted(*args, original=original):
             calls[original.__name__] += 1
-            return original(r)
+            return original(*args)
 
         for name, module in list(sys.modules.items()):
             if name.startswith("fatpoints") and getattr(module, original.__name__, None) is original:
@@ -209,20 +215,48 @@ def class_builders(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def class_builders(monkeypatch):
+    """Calls of canonical_class and e0_class, wherever the package calls them."""
+    return count_package_calls(monkeypatch, (lattice.canonical_class, lattice.e0_class))
+
+
 def test_resolve_builds_no_class_per_degree(class_builders):
     """Only the candidate list builds -K or e0, so the count does not grow
-    with the cutoff.  (The uniform cubic's D step builds -K as trace content.)"""
+    with the cutoff."""
     flex = PointConfig(
         curve_kind="cubic_flex",
         points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, 13)),
     )
-    for base in (GOLDEN_SCHEME, FatPointScheme(flex, (3,) * 12)):
+    uniform = FatPointScheme(uniform_config(12), (2,) * 12)
+    for base in (GOLDEN_SCHEME, FatPointScheme(flex, (3,) * 12), uniform):
         counts = []
         for k in (1, 3):
             class_builders.clear()
             resolve(FatPointScheme(base.config, tuple(k * v for v in base.multiplicities)))
             counts.append(dict(class_builders))
         assert counts[0] == counts[1]
+
+
+def test_syzygies_come_with_the_section_answers(monkeypatch):
+    """Each degree's syzygy count rides on its section answer: resolve and
+    oracle_report make no s_of_nef call, and on a flex chain each h0_flex
+    call is the one nef-basis solve of its degree."""
+    calls = count_package_calls(
+        monkeypatch, (syzygy.s_of_nef, cohomology.h0_flex, lattice.nef_basis_coefficients)
+    )
+    flex = PointConfig(
+        curve_kind="cubic_flex",
+        points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, 13)),
+    )
+    resolve(FatPointScheme(flex, (3,) * 12))
+    assert calls["nef_basis_coefficients"] == calls["h0_flex"] == 32
+    uniform = FatPointScheme(uniform_config(10), (1,) * 10)
+    for scheme in (GOLDEN_SCHEME, line_scheme((5, 3, 1)), uniform):
+        calls.clear()
+        resolve(scheme)
+        oracle_report(scheme)
+        assert calls["s_of_nef"] == 0, scheme.config.curve_kind
 
 
 def test_resolve_counts_match_s_dim():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,8 +12,14 @@ from fatpoints.configuration import (
     PointConfig,
     UnsupportedRuleError,
 )
-from fatpoints.lattice import ClassVector, e0_class, nef_basis_class, zero_class
-from fatpoints.syzygy import s_dim, s_of_nef
+from fatpoints.lattice import (
+    ClassVector,
+    e0_class,
+    nef_basis_class,
+    nef_basis_coefficients,
+    zero_class,
+)
+from fatpoints.syzygy import SyzygyAnswer, s_dim, s_of_nef
 
 GOLDEN_CONIC = PointConfig(
     curve_kind="conic",
@@ -142,6 +149,68 @@ def test_moving_part_plus_a_line_is_regular():
         assert h0_any(up, ctx).h0 == chi(up)
         checked += not moving.is_zero()
     assert checked > 200
+
+
+def is_flex_composite_reference(h):
+    """A cubic pencil class h8 plus positive multiples of h9 and h10 only,
+    in nef-basis coordinates."""
+    a = nef_basis_coefficients(h).a
+    rest = [v for i, v in enumerate(a) if i not in (8, 9, 10)]
+    return len(a) > 9 and a[8] == 1 and sum(a[9:11]) > 0 and not any(rest)
+
+
+def test_section_answer_carries_the_nef_table_answer():
+    """The syzygy count a section answer carries is s_of_nef of its moving
+    part, except on a composite flex moving part, where the fixed-locus rule
+    gives a9 + 1.  A class that is not effective carries none."""
+    line = PointConfig(
+        curve_kind="line",
+        points=tuple(Point(i) for i in range(1, 5)),
+        lines=((1, 2, 3, 4),),
+    )
+    smooth = PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, 13)),
+        conic_shape=ConicShape("smooth"),
+    )
+    contexts = [make_context(GOLDEN_CONIC), make_context(smooth), make_context(line)]
+    contexts += [flex_context(r) for r in range(3, 13)]
+    contexts += [
+        uniform_context(9, LambdaSpec("order", order=2)),
+        uniform_context(10),
+        uniform_context(12),
+    ]
+    rng = random.Random(1010)
+    outcomes = Counter()
+    for _ in range(500):
+        ctx = rng.choice(contexts)
+        r = ctx.config.r
+        kind = ctx.config.curve_kind
+        if kind == "cubic_uniform":
+            m = rng.randint(0, 4)
+            f = ClassVector(rng.randint(0, 16), (m,) * r)
+        elif kind == "cubic_flex" and r >= 9 and rng.random() < 0.5:
+            # a cubic pencil class plus kernel multiples, under fixed curves
+            f = nef_basis_class(8, r) + rng.randint(0, 2) * nef_basis_class(9, r)
+            if r >= 10:
+                f += rng.randint(0, 2) * nef_basis_class(10, r)
+            f += rng.randint(0, 1) * ClassVector(1, (1, 1, 1) + (0,) * (r - 3))
+        else:
+            f = ClassVector(rng.randint(0, 16), tuple(rng.randint(0, 4) for _ in range(r)))
+        answer = h0_any(f, ctx)
+        if answer.h1 is None:
+            assert answer.syzygies is None
+            outcomes["not effective"] += 1
+        elif kind == "cubic_flex" and is_flex_composite_reference(answer.moving_part):
+            a = nef_basis_coefficients(answer.moving_part).a
+            assert answer.syzygies == SyzygyAnswer(a[9] + 1, "flex-composite")
+            with pytest.raises(ValueError):
+                s_of_nef(answer.moving_part, ctx)
+            outcomes["flex composite"] += 1
+        else:
+            assert answer.syzygies == s_of_nef(answer.moving_part, ctx), (f, kind)
+            outcomes[kind] += 1
+    assert len(outcomes) == 6 and min(outcomes.values()) >= 15, outcomes
 
 
 def test_s_dim_negative_degree_counts_first_sections():
