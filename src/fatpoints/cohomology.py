@@ -174,12 +174,21 @@ def h0_flex(f: ClassVector) -> CohomologyAnswer:
     return CohomologyAnswer(h0, h1, f, notes, _flex_syzygies(coeffs.a, mk))
 
 
+def h0_nef(f: ClassVector, context: CaseContext) -> CohomologyAnswer:
+    """The nef rule of a line, conic or flex chain, for a class known to be
+    nef there: chi on a line or conic, ``h0_flex`` on a flex chain."""
+    if context.config.curve_kind == "cubic_flex":
+        return h0_flex(f)
+    return CohomologyAnswer(
+        chi(f), 0, f, ("nef moving part is regular",), RATIONAL_NORMAL_SYZYGIES
+    )
+
+
 def h0_with_decomposition(
     f: ClassVector, context: CaseContext
 ) -> tuple[CohomologyAnswer, ZariskiDecomposition | NotEffective]:
     """One decomposition pass feeding the section and syzygy counts and the trace."""
-    kind = context.config.curve_kind
-    if kind == "cubic_uniform":
+    if context.config.curve_kind == "cubic_uniform":
         rule = uniform_cubic_rule(f, context)
         dec = rule.decomposition
         if isinstance(dec, NotEffective):
@@ -191,12 +200,8 @@ def h0_with_decomposition(
         if isinstance(dec, NotEffective):
             notes = (f"not effective: {dec.reason}",)
             return CohomologyAnswer(0, None, zero_class(f.r), notes, None), dec
-        if kind == "cubic_flex":
-            base = h0_flex(dec.moving)
-            h0, notes, syzygies = base.h0, base.notes, base.syzygies
-        else:
-            h0, notes = chi(dec.moving), ("nef moving part is regular",)
-            syzygies = RATIONAL_NORMAL_SYZYGIES
+        base = h0_nef(dec.moving, context)
+        h0, notes, syzygies = base.h0, base.notes, base.syzygies
     h1 = h0 - chi(f)
     if h1 < 0:
         raise RuntimeError(f"internal error: negative h1 for {f}")
@@ -214,6 +219,7 @@ __all__ = [
     "chi",
     "h0_any",
     "h0_flex",
+    "h0_nef",
     "h0_with_decomposition",
     "make_context",
     "regularity_bound",

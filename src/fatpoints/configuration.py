@@ -196,9 +196,6 @@ class ProximityMatrix:
     def r(self) -> int:
         return len(self.entries)
 
-    def is_proximate(self, j: int, i: int) -> bool:
-        return self.entries[j - 1][i - 1]
-
     def points_proximate_to(self, i: int) -> tuple[int, ...]:
         return tuple(j for j in range(1, self.r + 1) if self.entries[j - 1][i - 1])
 

@@ -66,8 +66,7 @@ def _require_same_rank(f: ClassVector, g: ClassVector, verb: str) -> None:
 def intersect(f: ClassVector, g: ClassVector) -> int:
     """Intersection pairing: f.d*g.d - sum(f.m[i]*g.m[i]).
 
-    Raises ValueError when the two classes live on blowups of different rank;
-    use extend_rank first if a comparison across ranks is intended.
+    Raises ValueError when the two classes live on blowups of different rank.
     """
     if len(f.m) != len(g.m):
         _require_same_rank(f, g, "pair")
@@ -99,13 +98,6 @@ def anticanonical_degree(f: ClassVector) -> int:
     """The pairing f.(-K) = 3d - sum(m): the degree of f restricted to a
     cubic through the points."""
     return 3 * f.d - sum(f.m)
-
-
-def extend_rank(f: ClassVector, r: int) -> ClassVector:
-    """Reinterpret f on a larger blowup by appending zero multiplicities."""
-    if r < f.r:
-        raise ValueError(f"cannot shrink rank from {f.r} to {r}")
-    return ClassVector(f.d, f.m + (0,) * (r - f.r))
 
 
 def nef_basis_class(i: int, r: int) -> ClassVector:

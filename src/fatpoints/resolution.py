@@ -19,8 +19,9 @@ from .configuration import (
     check_proximity,
     line_partition_data,
 )
-from .cohomology import h0_with_decomposition, make_context, regularity_bound
+from .cohomology import h0_nef, h0_with_decomposition, make_context, regularity_bound
 from .syzygy import generator_counts
+from .zariski import nef_tail_degree
 
 
 def binom2(a: int) -> int:
@@ -105,19 +106,32 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
     cutoff = reg + 2
     top = cutoff + 3
 
-    # one decomposition per degree feeds the sections, generators and traces
-    table = [h0_with_decomposition(scheme.to_class(d), context) for d in range(top + 1)]
-    answers = [answer for answer, _ in table]
+    # One decomposition per degree below the nef tail feeds the sections,
+    # generators and traces.  From the tail degree on the class is nef, so
+    # its nef rule answers with an empty trace and no decomposition.
+    tail = nef_tail_degree(scheme, context)
+    if tail is None:
+        tail = top + 1
+    answers, steps = [], []
+    for d in range(top + 1):
+        f = scheme.to_class(d)
+        if d < tail:
+            answer, dec = h0_with_decomposition(f, context)
+            answers.append(answer)
+            steps.append(dec.trace)
+        else:
+            answers.append(h0_nef(f, context))
+            steps.append(())
     h_ext = [answer.h0 for answer in answers]
     counts = generator_counts(scheme, answers, reg)[: cutoff + 1]
     nu = [count.value for count in counts]
     traces = tuple(
         DegreeTrace(
             d,
-            tuple(str(step) for step in dec.trace),
+            tuple(map(str, trace)),
             answer.notes + (f"generator rule: {count.rule}",),
         )
-        for d, ((answer, dec), count) in enumerate(zip(table, counts))
+        for d, (answer, trace, count) in enumerate(zip(answers, steps, counts))
     )
 
     alpha = next((d for d, v in enumerate(h_ext) if v > 0), None)

