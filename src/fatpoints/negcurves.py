@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .configuration import (
     PointConfig,
@@ -31,6 +32,12 @@ class NegativeCurve:
     cls: ClassVector
     kind: str
     label: str
+
+    @cached_property
+    def text(self) -> str:
+        """``class [label]``, as a subtraction trace prints it; formatted
+        the first time a trace asks and kept."""
+        return f"{self.cls} [{self.label}]"
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,18 @@ keeps each candidate's degree and, for each point, the candidates with a
 nonzero coefficient there.  Along a ray d*e0 - sum(m_i e_i) every pairing is
 affine in d, so one such pass also gives ``nef_tail_degree``, the degree from
 which the ray stays nef.
+
+The loop makes that pass once per decomposition.  Pairing is bilinear, so a
+step that takes k copies of a candidate C subtracts k times C's row (C paired
+with every candidate) from the pairings it holds, and lowers the degree and
+the ample potential by k times C's.  A row is computed the first time its
+candidate is subtracted in a context and kept there, and the moving and
+fixed classes are built once, from the copies taken per candidate.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .configuration import FatPointScheme, LambdaSpec, PointConfig, UnsupportedRuleError
@@ -30,6 +38,7 @@ from .lattice import (
     canonical_class,
     exceptional_class,
     intersect,
+    zero_class,
 )
 from .negcurves import (
     KIND_CUBIC,
@@ -62,9 +71,12 @@ class SubtractionStep:
     square: int
     rule: str
     copies: int
+    # "class [label]" when the caller has it already, as the loop does from
+    # ``NegativeCurve.text``; derived, so it takes no part in comparisons
+    text: str = field(default="", repr=False, compare=False)
 
     def __str__(self) -> str:
-        text = f"{self.subtracted} [{self.label}]"
+        text = self.text or f"{self.subtracted} [{self.label}]"
         return f"{self.copies} x {text}" if self.copies > 1 else text
 
 
@@ -88,15 +100,20 @@ class CaseContext:
     Build it with ``cohomology.make_context``.  The uniform cubic's one
     candidate is the cubic D = -K, whose copies its closed-form rule takes.
     The scan kernel's data is derived once, here: each candidate's degree,
-    the ample witness of the potential check, and for each point j the
-    (candidate index, coefficient) pairs with a nonzero coefficient at j.
+    the ample witness of the potential check and each candidate's degree
+    against it, and for each point j the (candidate index, coefficient) pairs
+    with a nonzero coefficient at j.  ``rows`` maps a candidate's index to
+    its pairings with every candidate; the loop fills it as it first
+    subtracts each candidate, so it takes no part in comparisons.
     """
 
     config: PointConfig
     candidates: tuple[NegativeCurve, ...]
     degrees: tuple[int, ...] = field(init=False, repr=False)
     ample: ClassVector = field(init=False, repr=False)
+    ample_degrees: tuple[int, ...] = field(init=False, repr=False)
     columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    rows: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         columns: list[list[tuple[int, int]]] = [[] for _ in range(self.config.r)]
@@ -108,6 +125,15 @@ class CaseContext:
         set_field(self, "degrees", tuple(entry.cls.d for entry in self.candidates))
         set_field(self, "ample", _ample_witness(self.config.r))
         set_field(self, "columns", tuple(map(tuple, columns)))
+        set_field(self, "rows", {})
+        ample_degrees = _pairings(self.ample, self)
+        for entry, degree in zip(self.candidates, ample_degrees):
+            if degree < 1:
+                raise RuntimeError(
+                    f"internal error: ample witness meets candidate {entry.cls} "
+                    f"in degree {degree}"
+                )
+        set_field(self, "ample_degrees", tuple(ample_degrees))
 
 
 @dataclass(frozen=True)
@@ -154,13 +180,6 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
             if pt.parent is None
         ]
         candidates.extend(negative_curves(config))
-    ample = _ample_witness(r)
-    for entry in candidates:
-        if intersect(ample, entry.cls) < 1:
-            raise RuntimeError(
-                f"internal error: ample witness meets candidate {entry.cls} "
-                f"in degree {intersect(ample, entry.cls)}"
-            )
     return tuple(candidates)
 
 
@@ -198,15 +217,20 @@ def _pairings(f: ClassVector, context: CaseContext) -> list[int]:
     return out
 
 
-def _first_negative(
-    f: ClassVector, context: CaseContext
-) -> tuple[NegativeCurve, int] | None:
-    """The first candidate that ``f`` meets negatively, with the pairing."""
-    pairings = _pairings(f, context)
+def _first_negative(pairings: list[int]) -> int | None:
+    """The index of the first candidate met negatively, if any."""
     if not pairings or min(pairings) >= 0:
         return None
-    index = next(i for i, pairing in enumerate(pairings) if pairing < 0)
-    return context.candidates[index], pairings[index]
+    return next(i for i, pairing in enumerate(pairings) if pairing < 0)
+
+
+def _row(context: CaseContext, index: int) -> list[int]:
+    """Candidate ``index`` paired with every candidate, computed the first
+    time the loop subtracts it in ``context`` and kept there."""
+    row = context.rows.get(index)
+    if row is None:
+        row = context.rows[index] = _pairings(context.candidates[index].cls, context)
+    return row
 
 
 def is_nef(f: ClassVector, context: CaseContext) -> bool:
@@ -222,7 +246,7 @@ def is_nef(f: ClassVector, context: CaseContext) -> bool:
         check_uniform_class(f)
         m = f.m[0]
         return m >= 0 and f.d >= 3 * m and anticanonical_degree(f) >= 0
-    return f.d >= 0 and _first_negative(f, context) is None
+    return f.d >= 0 and _first_negative(_pairings(f, context)) is None
 
 
 def nef_tail_degree(scheme: FatPointScheme, context: CaseContext) -> int | None:
@@ -249,12 +273,10 @@ def nef_tail_degree(scheme: FatPointScheme, context: CaseContext) -> int | None:
 
 
 def _forced_step(
-    current: ClassVector, entry: NegativeCurve, pairing: int
+    d: int, entry: NegativeCurve, pairing: int, square: int
 ) -> SubtractionStep:
-    """Every copy of ``entry`` that its negative ``pairing`` with ``current``
-    forces into the fixed part."""
-    cls = entry.cls
-    square = cls.square()
+    """Every copy of ``entry`` that its negative ``pairing`` with a class of
+    degree ``d`` forces into the fixed part."""
     if square < 0:
         # each copy raises the pairing by -square, and a copy is forced while
         # the pairing before it is negative: ceil(pairing / square) copies
@@ -262,9 +284,11 @@ def _forced_step(
     else:
         # a pencil of lines through a point has square zero, so its pairing
         # never rises: copies come off until the degree turns negative
-        copies = current.d // cls.d + 1
+        copies = d // entry.cls.d + 1
     rule = RULE_FORCED_CUBIC if entry.kind == KIND_CUBIC else RULE_NEGATIVE_PAIRING
-    return SubtractionStep(cls, entry.kind, entry.label, pairing, square, rule, copies)
+    return SubtractionStep(
+        entry.cls, entry.kind, entry.label, pairing, square, rule, copies, entry.text
+    )
 
 
 def zariski_decompose(
@@ -274,30 +298,38 @@ def zariski_decompose(
 
     Returns ``NotEffective`` when the subtraction drives the degree negative,
     and the decomposition as soon as no candidate meets the class negatively.
+    The loop holds the class's pairings with the candidates, its degree and
+    its ample potential, and builds the moving and fixed classes at the end.
     """
     config = context.config
     if config.curve_kind == "cubic_uniform":
         return uniform_cubic_rule(f, context).decomposition
     check_rank(f, config)
-    ample = context.ample
 
-    current = f
+    pairings = _pairings(f, context)
+    d = f.d
     steps: list[SubtractionStep] = []
-    potential = intersect(current, ample)
+    taken: dict[int, int] = {}  # candidate index -> copies subtracted
+    potential = intersect(f, context.ample)
     budget = 2 * abs(potential) + 1000 * (f.r + 2)
     while True:
-        if current.d < 0:
+        if d < 0:
             return NotEffective(
                 "subtracting forced fixed classes drove the degree negative",
                 tuple(steps),
             )
-        hit = _first_negative(current, context)
-        if hit is None:
-            return ZariskiDecomposition(current, f - current, tuple(steps))
-        step = _forced_step(current, *hit)
-        current = current - step.copies * step.subtracted
+        index = _first_negative(pairings)
+        if index is None:
+            return _decomposition(f, d, taken, potential, steps, context)
+        entry = context.candidates[index]
+        row = _row(context, index)
+        step = _forced_step(d, entry, pairings[index], row[index])
+        copies = step.copies
+        pairings = [p - copies * c for p, c in zip(pairings, row)]
+        d -= copies * entry.cls.d
+        taken[index] = taken.get(index, 0) + copies
         steps.append(step)
-        next_potential = intersect(current, ample)
+        next_potential = potential - copies * context.ample_degrees[index]
         if next_potential >= potential:
             raise RuntimeError(
                 "internal error: subtraction failed to lower the ample degree"
@@ -305,6 +337,30 @@ def zariski_decompose(
         potential = next_potential
         if len(steps) > budget:
             raise RuntimeError("internal error: subtraction budget exceeded")
+
+
+def _decomposition(
+    f: ClassVector,
+    d: int,
+    taken: dict[int, int],
+    potential: int,
+    steps: list[SubtractionStep],
+    context: CaseContext,
+) -> ZariskiDecomposition:
+    """``f`` split into its moving part of degree ``d`` and the copies
+    ``taken`` of each candidate, checked against the potential the loop
+    tracked."""
+    if not steps:
+        return ZariskiDecomposition(f, zero_class(f.r), ())
+    fixed = [0] * f.r
+    for index, copies in taken.items():
+        for j, coefficient in enumerate(context.candidates[index].cls.m):
+            if coefficient:
+                fixed[j] += copies * coefficient
+    moving = ClassVector(d, tuple(map(operator.sub, f.m, fixed)))
+    if intersect(moving, context.ample) != potential:
+        raise RuntimeError("internal error: the tracked ample degree drifted")
+    return ZariskiDecomposition(moving, ClassVector(f.d - d, tuple(fixed)), tuple(steps))
 
 
 def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnswer:

