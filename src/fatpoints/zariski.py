@@ -24,6 +24,14 @@ with every candidate) from the pairings it holds, and lowers the degree and
 the ample potential by k times C's.  A row is computed the first time its
 candidate is subtracted in a context and kept there, and the moving and
 fixed classes are built once, from the copies taken per candidate.
+
+Lines and conics list the pencils L(i) of lines through their proper points
+first.  A pencil is nef of square zero, so a class of degree d >= 0 with a
+proper multiplicity m_i > d meets L(i) in d - m_i < 0 and is not effective:
+the loop's first step takes d + 1 copies of the first such pencil and the
+degree turns negative.  ``zariski_decompose`` answers that head of the degree
+ray from the multiplicities alone, with the same one-step trace and no
+pairing pass.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ RULE_NEGATIVE_PAIRING = "negative-pairing"
 RULE_FORCED_CUBIC = "forced-anticanonical"
 RULE_UNIFORM_CUBIC = "uniform-fixed-cubic"
 RULE_UNIFORM_EXCEPTIONAL = "uniform-negative-multiplicity"
+
+REASON_DEGREE_NEGATIVE = "subtracting forced fixed classes drove the degree negative"
 
 
 @dataclass(frozen=True)
@@ -102,9 +112,12 @@ class CaseContext:
     The scan kernel's data is derived once, here: each candidate's degree,
     the ample witness of the potential check and each candidate's degree
     against it, and for each point j the (candidate index, coefficient) pairs
-    with a nonzero coefficient at j.  ``rows`` maps a candidate's index to
-    its pairings with every candidate; the loop fills it as it first
-    subtracts each candidate, so it takes no part in comparisons.
+    with a nonzero coefficient at j.  ``pencils`` holds (candidate index,
+    point index) for each pencil e0 - e_j in the leading run of candidates:
+    lines and conics put one there per proper point, other cases none.
+    ``rows`` maps a candidate's index to its pairings with every candidate;
+    the loop fills it as it first subtracts each candidate, so it takes no
+    part in comparisons.
     """
 
     config: PointConfig
@@ -113,6 +126,7 @@ class CaseContext:
     ample: ClassVector = field(init=False, repr=False)
     ample_degrees: tuple[int, ...] = field(init=False, repr=False)
     columns: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False)
+    pencils: tuple[tuple[int, int], ...] = field(init=False, repr=False)
     rows: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -125,6 +139,13 @@ class CaseContext:
         set_field(self, "degrees", tuple(entry.cls.d for entry in self.candidates))
         set_field(self, "ample", _ample_witness(self.config.r))
         set_field(self, "columns", tuple(map(tuple, columns)))
+        pencils = []
+        for index, entry in enumerate(self.candidates):
+            cls = entry.cls
+            if cls.d != 1 or cls.m.count(0) != self.config.r - 1 or 1 not in cls.m:
+                break
+            pencils.append((index, cls.m.index(1)))
+        set_field(self, "pencils", tuple(pencils))
         set_field(self, "rows", {})
         ample_degrees = _pairings(self.ample, self)
         for entry, degree in zip(self.candidates, ample_degrees):
@@ -183,10 +204,13 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
     return tuple(candidates)
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def check_rank(f: ClassVector, config: PointConfig) -> None:
     # Classes are never coerced, so a float, bool or numpy entry is refused
     # here; type() rather than isinstance, since bool is a subclass of int.
-    if type(f.d) is not int or type(f.m) is not tuple or any(type(v) is not int for v in f.m):
+    if type(f.d) is not int or type(f.m) is not tuple or not _INT_ONLY.issuperset(map(type, f.m)):
         raise ValueError(f"class entries must be Python ints in a tuple, got {f!r}")
     if f.r != config.r:
         raise ValueError(f"class of rank {f.r} does not match {config.r} points")
@@ -298,26 +322,32 @@ def zariski_decompose(
 
     Returns ``NotEffective`` when the subtraction drives the degree negative,
     and the decomposition as soon as no candidate meets the class negatively.
-    The loop holds the class's pairings with the candidates, its degree and
-    its ample potential, and builds the moving and fixed classes at the end.
+    A class of degree d >= 0 met negatively by a leading pencil is answered
+    before the loop, with the loop's one step.  The loop holds the class's
+    pairings with the candidates, its degree and its ample potential, and
+    builds the moving and fixed classes at the end.
     """
     config = context.config
     if config.curve_kind == "cubic_uniform":
         return uniform_cubic_rule(f, context).decomposition
     check_rank(f, config)
 
-    pairings = _pairings(f, context)
     d = f.d
+    if d >= 0:
+        for index, j in context.pencils:
+            pairing = d - f.m[j]
+            if pairing < 0:
+                step = _forced_step(d, context.candidates[index], pairing, 0)
+                return NotEffective(REASON_DEGREE_NEGATIVE, (step,))
+
+    pairings = _pairings(f, context)
     steps: list[SubtractionStep] = []
     taken: dict[int, int] = {}  # candidate index -> copies subtracted
     potential = intersect(f, context.ample)
     budget = 2 * abs(potential) + 1000 * (f.r + 2)
     while True:
         if d < 0:
-            return NotEffective(
-                "subtracting forced fixed classes drove the degree negative",
-                tuple(steps),
-            )
+            return NotEffective(REASON_DEGREE_NEGATIVE, tuple(steps))
         index = _first_negative(pairings)
         if index is None:
             return _decomposition(f, d, taken, potential, steps, context)

@@ -15,6 +15,7 @@ from fatpoints.configuration import (
     LambdaSpec,
     Point,
     PointConfig,
+    ValidationError,
 )
 from fatpoints.resolution import (
     GradedFreeModule,
@@ -308,6 +309,36 @@ def test_subtraction_steps_do_not_grow_with_multiplicity():
         assert isinstance(low, zariski.NotEffective)
         lengths.append((len(dec.trace), len(low.trace)))
     assert lengths[0] == lengths[1]
+
+
+def test_no_sections_below_the_largest_multiplicity():
+    """A form of degree d vanishing to order m > d at a point vanishes on
+    every line through it, so it is zero.  For every valid line and conic
+    config, each degree below the largest multiplicity has no sections, and
+    its trace is one step: the pencil of lines through the first proper point
+    of multiplicity above the degree."""
+    dirs = (ROOT / "configs", ROOT / "tests" / "golden" / "configs")
+    checked = 0
+    for path in sorted(p for d in dirs for p in d.glob("*.json")):
+        try:
+            config, scheme = parse_config(str(path))
+        except ValidationError:
+            continue
+        if config.curve_kind not in ("line", "conic"):
+            continue
+        report = resolve(scheme)
+        top = max(scheme.multiplicities)
+        proper = [
+            (pt.id, m) for pt, m in zip(config.points, scheme.multiplicities) if pt.parent is None
+        ]
+        assert top <= len(report.h) and report.alpha >= top, path.name
+        for d in range(top):
+            assert report.h[d] == 0, (path.name, d)
+            first = next(i for i, m in proper if m > d)
+            (step,) = report.traces[d].subtracted
+            assert step.endswith(f" [L({first})]"), (path.name, d, step)
+        checked += 1
+    assert checked > 20
 
 
 def test_line_3000_resolves_like_closed_form():

@@ -413,6 +413,119 @@ def test_steps_update_pairings_without_class_arithmetic(monkeypatch):
     assert calls == {"_pairings": 1}
 
 
+DOUBLE_LINE_NEAR = PointConfig(
+    curve_kind="conic",
+    points=(Point(1), Point(2), Point(3), Point(4, parent=2)),
+    lines=((1, 2, 3, 4),),
+    conic_shape=ConicShape("double_line", line_a=0),
+)
+
+
+def test_pencil_exit_matches_class_loop(monkeypatch):
+    """A class of degree d >= 0 below a proper point's multiplicity is
+    answered from the pencils with no pairing pass, in the step, certificate,
+    trace text and reason of the loop on classes; every other class, and
+    every class on a flex chain, which has no pencils, goes through the loop
+    with its pairing pass."""
+    golden = Path(__file__).resolve().parent / "golden" / "configs"
+    configs = [
+        parse_config(str(path))[0]
+        for shape in ("line", "smooth", "two_lines", "double_line")
+        for path in sorted(golden.glob(f"{shape}_*.json"))
+    ]
+    configs += [GOLDEN_CONIC, DOUBLE_LINE_NEAR, smooth_conic_config(12)]
+    configs += [flex_config(r) for r in (3, 6, 9, 10, 12)]
+    contexts = [make_context(cfg) for cfg in configs]
+    calls = Counter()
+    original = zariski._pairings
+
+    def counted(*args):
+        calls["_pairings"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(zariski, "_pairings", counted)
+    rng = random.Random(414)
+    outcomes = Counter()
+    for _ in range(700):
+        ctx = rng.choice(contexts)
+        config = ctx.config
+        on_loop_case = config.curve_kind in ("line", "conic")
+        proper = [pt.id - 1 for pt in config.points if pt.parent is None and on_loop_case]
+        assert ctx.pencils == tuple(enumerate(proper))
+        top = rng.choice((3, 8, 25))
+        m = tuple(rng.randint(-3, top) for _ in range(config.r))
+        draw = rng.random()
+        if draw < 0.6 and max(m) > 0:
+            d = rng.randint(0, max(m) - 1)
+        elif draw < 0.7:
+            d = rng.randint(-2, -1)
+        else:
+            d = rng.randint(max(max(m), 0), 3 * top)
+        f = ClassVector(d, m)
+        calls.clear()
+        got = zariski_decompose(f, ctx)
+        want = class_loop_reference(f, ctx)
+        assert got == want, (f, config)
+        assert list(map(str, got.trace)) == list(map(str, want.trace))
+        head = d >= 0 and any(m[j] > d for j in proper)
+        if head:
+            assert calls["_pairings"] == 0
+            first = next(j for j in proper if m[j] > d)
+            (step,) = got.trace
+            assert (step.label, step.pairing, step.square, step.copies) == (
+                f"L({first + 1})",
+                d - m[first],
+                0,
+                d + 1,
+            )
+        else:
+            assert calls["_pairings"] >= 1
+        outcomes[config.curve_kind, config.r == 1, head, type(got).__name__] += 1
+    for kind in ("line", "conic"):
+        # heads at one point and at several, classes past the head or of
+        # negative degree, and effective classes
+        assert outcomes[kind, True, True, "NotEffective"] > 10, outcomes
+        assert outcomes[kind, False, True, "NotEffective"] > 40, outcomes
+        assert outcomes[kind, False, False, "NotEffective"] > 5, outcomes
+        assert outcomes[kind, False, False, "ZariskiDecomposition"] > 20, outcomes
+    # flex classes below the largest multiplicity, not answered by any exit
+    assert outcomes["cubic_flex", False, False, "NotEffective"] > 30, outcomes
+
+
+def test_pencil_exit_makes_no_pairing(monkeypatch):
+    """A class below a proper point's multiplicity costs no sparse pass, no
+    ample pairing and no candidate row: its one step comes from the pencil
+    of lines through the first such point."""
+    ctx = make_context(smooth_conic_config(12))
+    calls = Counter()
+    originals = {
+        "intersect": zariski.intersect,
+        "_pairings": zariski._pairings,
+        "_row": zariski._row,
+    }
+    for name, original in originals.items():
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(zariski, name, counted)
+    f = ClassVector(5, (3, 7, 6, 2, 9, 0, 0, 0, 1, 1, 1, 1))
+    dec = zariski_decompose(f, ctx)
+    assert isinstance(dec, NotEffective)
+    assert dec.reason == zariski.REASON_DEGREE_NEGATIVE
+    (step,) = dec.trace
+    assert (step.label, step.pairing, step.square, step.copies, step.rule) == (
+        "L(2)",
+        -2,
+        0,
+        6,
+        "negative-pairing",
+    )
+    assert str(step) == "6 x (1; 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) [L(2)]"
+    assert calls == {} and ctx.rows == {}
+
+
 def test_reorder_invariance_of_nef_degree():
     """Permuting proper points permutes the decomposition accordingly: the
     moving part's degree and the fixed part's degree are invariant."""
