@@ -166,22 +166,15 @@ def parse_config(path: str) -> tuple[PointConfig, FatPointScheme]:
     lines_raw = _as_list(data.get("lines", []), "lines must be a list of id lists")
     lines = tuple(tuple(_as_int_list(line, "lines")) for line in lines_raw)
 
-    extras_raw = _as_list(
+    satellites = _as_list(
         data.get("extra_proximities", []),
         "extra_proximities must be a list of [point, ancestor] pairs",
     )
-    extras = []
-    for pair in extras_raw:
-        values = _as_int_list(pair, "extra_proximities")
-        if len(values) != 2:
-            raise _schema_error("each extra proximity must be a [point, ancestor] pair")
-        extras.append((values[0], values[1]))
 
     config = PointConfig(
         curve_kind=data["curve_kind"],
         points=_parse_points(data["points"], "points"),
         lines=lines,
-        extra_proximities=tuple(extras),
         conic_shape=(
             _parse_conic_shape(data["conic_shape"]) if "conic_shape" in data else None
         ),
@@ -193,6 +186,10 @@ def parse_config(path: str) -> tuple[PointConfig, FatPointScheme]:
     scheme = FatPointScheme(
         config, tuple(_as_int_list(data["multiplicities"], "multiplicities"))
     )
+    # a valid config with satellite points is outside the rules: the pipeline
+    # reads proximity from the parent tree alone
+    if satellites:
+        raise UnsupportedRuleError("satellite proximities")
     return config, scheme
 
 

@@ -2,9 +2,11 @@
 
 A configuration records which supported curve the points sit on (a line, a
 conic, or a smooth cubic in one of its two supported flavors), the
-infinitely-near structure of the points, declared collinearities, and for the
-cubic cases the kernel subgroup data controlling effectivity.  A scheme pairs
-a configuration with a multiplicity vector.
+infinitely-near structure of the points as a parent tree, declared
+collinearities, and for the cubic cases the kernel subgroup data controlling
+effectivity.  A near point is proximate to its parent only, so the parent tree
+is the whole proximity relation.  A scheme pairs a configuration with a
+multiplicity vector.
 """
 
 from __future__ import annotations
@@ -143,7 +145,6 @@ class PointConfig:
     curve_kind: str
     points: tuple[Point, ...]
     lines: tuple[tuple[int, ...], ...] = ()
-    extra_proximities: tuple[tuple[int, int], ...] = ()
     conic_shape: ConicShape | None = None
     lambda_spec: LambdaSpec | None = None
 
@@ -153,6 +154,11 @@ class PointConfig:
 
     def parent_of(self, i: int) -> int | None:
         return self.points[i - 1].parent
+
+    def children_of(self, i: int) -> tuple[int, ...]:
+        """The points whose parent is i, in id order: the points proximate
+        to p_i, since a near point is proximate to its parent only."""
+        return tuple(pt.id for pt in self.points if pt.parent == i)
 
     def ancestors_of(self, i: int) -> tuple[int, ...]:
         """Strict ancestors of point i, nearest first."""
@@ -187,20 +193,6 @@ class FatPointScheme:
 
 
 @dataclass(frozen=True)
-class ProximityMatrix:
-    """entries[j-1][i-1] is True exactly when p_j is proximate to p_i (j > i)."""
-
-    entries: tuple[tuple[bool, ...], ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.entries)
-
-    def points_proximate_to(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.r + 1) if self.entries[j - 1][i - 1])
-
-
-@dataclass(frozen=True)
 class PartitionData:
     """Conjugate partition mu of a multiplicity partition, plus the derived
     degree sequence a used by the closed form for points on a line."""
@@ -229,32 +221,6 @@ def validate(config: PointConfig) -> None:
             _fail(
                 f"parent must precede point: p{pt.id} names parent {pt.parent}",
                 rule="parent-precedes",
-            )
-
-    seen_extra = set()
-    for j, i in config.extra_proximities:
-        if not (1 <= i <= r and 1 <= j <= r and j > i):
-            _fail(
-                f"extra proximity ({j},{i}) out of range or not descending",
-                rule="extra-proximity-range",
-            )
-        if (j, i) in seen_extra:
-            _fail(f"duplicate extra proximity ({j},{i})", rule="extra-proximity-duplicate")
-        seen_extra.add((j, i))
-        ancestors = config.ancestors_of(j)
-        if config.parent_of(j) is None or i not in ancestors or i == config.parent_of(j):
-            _fail(
-                f"extra proximity ({j},{i}) must name a strict ancestor of p{j} "
-                "beyond its parent",
-                rule="extra-proximity-ancestor",
-            )
-    extra_count: dict[int, int] = {}
-    for j, _ in config.extra_proximities:
-        extra_count[j] = extra_count.get(j, 0) + 1
-        if extra_count[j] > 1:
-            _fail(
-                f"p{j} is proximate to more than two points",
-                rule="proximity-bound",
             )
 
     for idx, line in enumerate(config.lines):
@@ -357,11 +323,6 @@ def _validate_kind(config: PointConfig) -> None:
                 "cubic configurations take no line or conic declarations",
                 rule="cubic-declarations",
             )
-        if config.extra_proximities:
-            _fail(
-                "cubic configurations take no satellite proximities",
-                rule="cubic-satellites",
-            )
         if kind == "cubic_uniform":
             if config.lambda_spec is None:
                 _fail(
@@ -399,29 +360,18 @@ def _validate_lambda(spec: LambdaSpec, r: int) -> None:
                 )
 
 
-def proximity_matrix(config: PointConfig) -> ProximityMatrix:
-    r = config.r
-    rows = [[False] * r for _ in range(r)]
-    for pt in config.points:
-        if pt.parent is not None:
-            rows[pt.id - 1][pt.parent - 1] = True
-    for j, i in config.extra_proximities:
-        rows[j - 1][i - 1] = True
-    return ProximityMatrix(tuple(tuple(row) for row in rows))
-
-
 def check_proximity(scheme: FatPointScheme) -> None:
     """Enforce m_i >= 0 and the proximity inequality at every point."""
-    prox = proximity_matrix(scheme.config)
+    config = scheme.config
     mults = scheme.multiplicities
-    for i in range(1, scheme.config.r + 1):
+    for i in range(1, config.r + 1):
         if mults[i - 1] < 0:
             raise ValidationError(
                 f"negative multiplicity at p{i}: {mults[i - 1]}",
                 rule="multiplicity-nonnegative",
             )
-    for i in range(1, scheme.config.r + 1):
-        total = sum(mults[j - 1] for j in prox.points_proximate_to(i))
+    for i in range(1, config.r + 1):
+        total = sum(mults[j - 1] for j in config.children_of(i))
         if mults[i - 1] < total:
             raise ValidationError(
                 f"proximity inequality at p{i}: multiplicity {mults[i - 1]} is less "

@@ -1,9 +1,11 @@
 """Candidate curve classes of negative self-intersection.
 
 For line and conic configurations the list is a complete enumeration of the
-reduced irreducible negative classes; for the flex-chain cubic it is the set
-of candidate fixed classes dual to the nef-cone coordinates, which is what the
-subtraction loop in the decomposition module consumes.
+reduced irreducible negative classes.  A near point is proximate to its parent
+only, so each exceptional component is E_i minus the E_j of the children of
+p_i.  For the flex-chain cubic the list is the set of candidate fixed classes
+dual to the nef-cone coordinates, which is what the subtraction loop in the
+decomposition module consumes.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .configuration import (
     PointConfig,
     UnsupportedRuleError,
     ValidationError,
-    proximity_matrix,
     validate,
 )
 from .lattice import ClassVector, canonical_class, exceptional_class
@@ -63,11 +64,10 @@ class NegativeCurveList:
 
 
 def _exceptional_components(config: PointConfig) -> list[NegativeCurve]:
-    prox = proximity_matrix(config)
     r = config.r
     out = []
     for i in range(1, r + 1):
-        proximate = prox.points_proximate_to(i)
+        proximate = config.children_of(i)
         # E_i minus each E_j proximate to it
         m = [1 if j in proximate else 0 for j in range(1, r + 1)]
         m[i - 1] = -1
@@ -127,10 +127,6 @@ def negative_curves(config: PointConfig) -> NegativeCurveList:
         raise UnsupportedRuleError(
             f"negative curve enumeration covers line and conic configurations, "
             f"not {config.curve_kind}"
-        )
-    if config.extra_proximities:
-        raise UnsupportedRuleError(
-            "satellite proximities on a line or conic are outside the supported rules"
         )
     r = config.r
     entries = _exceptional_components(config)

@@ -227,8 +227,6 @@ def _sample(config: PointConfig, seed: int, p: int) -> CoordinateAssignment:
                 f"p{pt.id} is stacked more than one level deep; no coordinate "
                 "model is available"
             )
-    if config.extra_proximities:
-        raise UnsupportedRuleError("satellite proximities have no coordinate model")
     rng = random.Random(seed)
     kind = config.curve_kind
     if kind == "line":

@@ -379,3 +379,140 @@ def test_mutated_configs_end_in_an_exit_code(tmp_path):
     check()
     for command in COMMANDS:
         assert codes[command, 0] > 10 and codes[command, 1] > 10, codes
+
+
+def run_captured(spec):
+    """``run`` with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(spec)
+    return code, out.getvalue(), err.getvalue()
+
+
+def command_spec(command, path):
+    return RunSpec(command, str(path), output_format="machine", target_class="5,3,2,2,1,3,2")
+
+
+def golden_with_satellites(path, extras):
+    document = json.loads(Path(GOLDEN).read_text())
+    path.write_text(json.dumps(dict(document, extra_proximities=extras)))
+
+
+@pytest.mark.parametrize("extras", [[[6, 5]], [[1, 2, 3]], [["x"]]])
+def test_satellite_points_exit_two(tmp_path, extras):
+    """Any entry in extra_proximities is refused as unsupported, whatever it
+    holds, by every command."""
+    path = tmp_path / "config.json"
+    golden_with_satellites(path, extras)
+    for command in COMMANDS:
+        assert run_captured(command_spec(command, path)) == (
+            2,
+            "",
+            "unsupported: satellite proximities\n",
+        ), command
+
+
+def test_empty_satellite_list_changes_nothing(tmp_path):
+    path = tmp_path / "config.json"
+    for command in COMMANDS:
+        path.write_text(Path(GOLDEN).read_text())
+        without = run_captured(command_spec(command, path))
+        golden_with_satellites(path, [])
+        assert run_captured(command_spec(command, path)) == without, command
+
+
+@pytest.mark.parametrize("extras", [5, {}])
+def test_satellite_list_must_be_a_list(tmp_path, extras):
+    path = tmp_path / "config.json"
+    golden_with_satellites(path, extras)
+    for command in COMMANDS:
+        code, _, err = run_captured(command_spec(command, path))
+        assert code == 1 and err.startswith("error [config-schema]"), command
+
+
+def test_satellite_point_on_flex_chain_exits_two(tmp_path):
+    path = tmp_path / "flex.json"
+    path.write_text(json.dumps({
+        "curve_kind": "cubic_flex",
+        "points": [{"id": 1}, {"id": 2, "parent": 1}, {"id": 3, "parent": 2}],
+        "extra_proximities": [[3, 1]],
+        "multiplicities": [1, 1, 1],
+    }))
+    code, _, err = run_captured(RunSpec("resolve", str(path)))
+    assert (code, err) == (2, "unsupported: satellite proximities\n")
+
+
+@st.composite
+def deep_chains(draw):
+    """A schema-valid config of up to seven points on a line or a conic whose
+    parent tree often runs two or more levels deep, with multiplicities at
+    most six.  A near point takes at most what its parent has left; some
+    configs then have one multiplicity raised by one or set to -1, so
+    they break a proximity inequality."""
+    r = draw(st.integers(1, 7))
+    parents, roots, mults, left = [], [], [], {}
+    for i in range(1, r + 1):
+        anywhere = None if i == 1 else draw(st.integers(1, i - 1))
+        parent = None if i == 1 else draw(st.sampled_from([i - 1, None, anywhere]))
+        parents.append(parent)
+        roots.append(i if parent is None else roots[parent - 1])
+        if parent is None:
+            mults.append(draw(st.integers(0, 6)))
+        else:
+            mults.append(draw(st.integers(0, left[parent])))
+            left[parent] -= mults[-1]
+        left[i] = mults[-1]
+    if draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, r - 1))
+        mults[k] = draw(st.sampled_from([-1, min(mults[k] + 1, 6)]))
+    every = list(range(1, r + 1))
+    shape = draw(st.sampled_from(["line", "smooth", "double_line", "two_lines"]))
+    data = {
+        "curve_kind": "line" if shape == "line" else "conic",
+        "points": [
+            {"id": i} if p is None else {"id": i, "parent": p} for i, p in enumerate(parents, 1)
+        ],
+        "multiplicities": mults,
+    }
+    if shape in ("line", "double_line"):
+        data["lines"] = [every]
+    if shape == "double_line":
+        data["conic_shape"] = {"kind": "double_line", "line_a": 0}
+    elif shape == "smooth":
+        data["conic_shape"] = {"kind": "smooth"}
+    elif shape == "two_lines":
+        # p1 is the node and its tree stays on the first component; every
+        # other tree goes with one component
+        side = {root: draw(st.booleans()) for root in set(roots)}
+        side[1] = True
+        data["lines"] = [
+            [1] + [i for i in every[1:] if side[roots[i - 1]] is flag] for flag in (True, False)
+        ]
+        data["conic_shape"] = {"kind": "two_lines", "line_a": 0, "line_b": 1}
+    return data
+
+
+def test_deep_chains_end_in_an_exit_code(tmp_path):
+    """Every command on a line or conic config with a deep parent tree returns
+    a documented exit code, and resolve answers some trees two levels deep."""
+    path = tmp_path / "config.json"
+    codes = Counter()
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(deep_chains(), st.data())
+    def check(data, draws):
+        path.write_text(json.dumps(data))
+        parent = {pt["id"]: pt.get("parent") for pt in data["points"]}
+        deep = any(parent[p] is not None for p in parent.values() if p is not None)
+        size = len(parent) + 1
+        target = draws.draw(st.lists(st.integers(-1, 8), min_size=size, max_size=size))
+        for command in COMMANDS:
+            spec = RunSpec(
+                command, str(path), output_format="machine", target_class=",".join(map(str, target))
+            )
+            code, _, _ = run_captured(spec)
+            assert code in (0, 1, 2, 3), (command, data)
+            codes[command, code, deep] += 1
+
+    check()
+    assert codes["resolve", 0, True] > 10 and codes["resolve", 1, True] > 10, codes

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import json
 import random
+import re
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fatpoints
+from fatpoints.cli import RunSpec, run
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -15,10 +22,10 @@ from fatpoints.configuration import (
     check_proximity,
     conjugate_partition,
     line_partition_data,
-    proximity_matrix,
     validate,
 )
 from fatpoints.lattice import ClassVector
+from fatpoints.negcurves import KIND_EXCEPTIONAL, negative_curves
 
 
 def line_config(r, lines=None):
@@ -156,18 +163,84 @@ def test_unknown_curve_kind():
     assert err.value.rule == "curve-kind"
 
 
-def is_proximate(prox, j, i):
-    """Whether p_j is proximate to p_i in the proximity matrix ``prox``."""
-    return prox.entries[j - 1][i - 1]
+def test_children_of_golden_conic():
+    assert GOLDEN_CONIC.children_of(5) == (6,)
+    assert GOLDEN_CONIC.children_of(6) == ()
+    assert GOLDEN_CONIC.children_of(1) == ()
 
 
-def test_proximity_matrix_golden_conic():
-    prox = proximity_matrix(GOLDEN_CONIC)
-    assert is_proximate(prox, 6, 5)
-    assert not is_proximate(prox, 5, 6)
-    assert not is_proximate(prox, 2, 1)
-    assert prox.points_proximate_to(5) == (6,)
-    assert prox.points_proximate_to(6) == ()
+def random_tree(rng, r, max_depth):
+    """Points 1..r whose parents run at most max_depth levels deep."""
+    depth = {}
+    points = []
+    for i in range(1, r + 1):
+        open_parents = [j for j in range(1, i) if depth[j] < max_depth]
+        parent = rng.choice(open_parents) if open_parents and rng.random() < 0.6 else None
+        depth[i] = 0 if parent is None else depth[parent] + 1
+        points.append(Point(i, parent))
+    return tuple(points), max(depth.values())
+
+
+def tree_config(kind, points):
+    every = (tuple(range(1, len(points) + 1)),)
+    if kind == "line":
+        return PointConfig("line", points, lines=every)
+    if kind == "smooth":
+        return PointConfig("conic", points, conic_shape=ConicShape("smooth"))
+    return PointConfig("conic", points, lines=every, conic_shape=ConicShape("double_line", 0))
+
+
+def reference_children(points, i):
+    """The ids whose parent is i, read from the points directly."""
+    return [q.id for q in points if q.parent == i]
+
+
+def reference_proximity_rule(points, mults):
+    """The rule a scheme breaks: a negative multiplicity first, then a parent
+    lighter than its children."""
+    if any(v < 0 for v in mults):
+        return "multiplicity-nonnegative"
+    for pt in points:
+        if mults[pt.id - 1] < sum(mults[j - 1] for j in reference_children(points, pt.id)):
+            return "proximity-inequality"
+    return None
+
+
+def test_parent_tree_past_depth_one():
+    """Over seeded trees up to three levels deep, check_proximity and the
+    exceptional components read each point's children and nothing else."""
+    rng = random.Random(1517)
+    depths = set()
+    for _ in range(600):
+        kind = rng.choice(["line", "smooth", "double_line"])
+        points, depth = random_tree(rng, rng.randint(1, 8), 3)
+        depths.add(depth)
+        config = tree_config(kind, points)
+        validate(config)
+        mults = tuple(rng.randint(-1, 6) for _ in points)
+        try:
+            check_proximity(FatPointScheme(config, mults))
+            rule = None
+        except ValidationError as err:
+            rule = err.rule
+        assert rule == reference_proximity_rule(points, mults), (points, mults)
+
+        if kind == "smooth" and depth >= 2:
+            # no declared line can carry a chain two levels deep on a smooth conic
+            with pytest.raises(ValidationError) as err:
+                negative_curves(config)
+            assert err.value.rule == "undeclared-incidence"
+            continue
+        got = [(c.cls, c.label) for c in negative_curves(config) if c.kind == KIND_EXCEPTIONAL]
+        want = []
+        for pt in points:
+            children = reference_children(points, pt.id)
+            m = [1 if j in children else 0 for j in range(1, len(points) + 1)]
+            m[pt.id - 1] = -1
+            label = f"E{pt.id}" + "".join(f" - E{j}" for j in children)
+            want.append((ClassVector(0, tuple(m)), label))
+        assert got == want, points
+    assert depths == {0, 1, 2, 3}
 
 
 def test_check_proximity_accepts_golden():
@@ -292,16 +365,10 @@ def canonical_reorder(scheme: FatPointScheme) -> ReorderResult:
             remap.get(shape.line_a) if shape.line_a is not None else None,
             remap.get(shape.line_b) if shape.line_b is not None else None,
         )
-    extras = tuple(
-        (new_id[j], new_id[i])
-        for j, i in config.extra_proximities
-        if j in new_id and i in new_id
-    )
     new_config = PointConfig(
         curve_kind=config.curve_kind,
         points=points,
         lines=lines,
-        extra_proximities=extras,
         conic_shape=shape,
         lambda_spec=config.lambda_spec,
     )
@@ -357,3 +424,105 @@ def test_scheme_multiplicities_are_ints():
     scheme = FatPointScheme(line_config(2), (np.int64(3), 2))
     assert scheme.multiplicities == (3, 2)
     assert all(type(v) is int for v in scheme.multiplicities)
+
+
+def conic_config(r, shape, lines=()):
+    points = tuple(Point(i) for i in range(1, r + 1))
+    return PointConfig("conic", points, lines=lines, conic_shape=shape)
+
+
+def uniform_config(lambda_spec):
+    return PointConfig("cubic_uniform", (Point(1),), lambda_spec=lambda_spec)
+
+
+def rule_of(call, *args):
+    with pytest.raises(ValidationError) as err:
+        call(*args)
+    return err.value.rule
+
+
+def cli_rule(tmp_path, document, command="resolve", **spec):
+    """The rule in the CLI's ``error [rule]`` line for one run on document."""
+    path = tmp_path / "config.json"
+    path.write_text(document if isinstance(document, str) else json.dumps(document))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert run(RunSpec(command, str(path), **spec)) == 1
+    return re.match(r"error \[([a-z-]+)\]", err.getvalue()).group(1)
+
+
+ONE_POINT = {"curve_kind": "line", "points": [{"id": 1}], "lines": [[1]], "multiplicities": [1]}
+NEAR_PAIR = PointConfig("line", (Point(1), Point(2, parent=1)), lines=((1, 2),))
+SMOOTH_CHAIN = PointConfig(
+    "conic", (Point(1), Point(2, parent=1), Point(3, parent=2)), conic_shape=ConicShape("smooth")
+)
+VALIDATE_CASES = {
+    "curve-kind": PointConfig("quartic", (Point(1),)),
+    "point-ids": PointConfig("line", (Point(1), Point(3)), lines=((1, 3),)),
+    "parent-precedes": PointConfig("line", (Point(1, parent=2), Point(2)), lines=((1, 2),)),
+    "line-distinct-members": line_config(2, lines=((1, 1),)),
+    "line-member-range": line_config(2, lines=((1, 3),)),
+    "line-two-members": line_config(3, lines=((1,), (2, 3))),
+    "line-contains-parent": PointConfig(
+        "line", (Point(1), Point(2), Point(3, parent=2)), lines=((1, 3),)
+    ),
+    "lines-share-one-point": line_config(4, lines=((1, 2, 3), (1, 2, 4))),
+    "lambda-spec-scope": PointConfig(
+        "line", (Point(1),), lines=((1,),), lambda_spec=LambdaSpec("trivial")
+    ),
+    "conic-shape-scope": PointConfig(
+        "line", (Point(1),), lines=((1,),), conic_shape=ConicShape("smooth")
+    ),
+    "line-declares-all": line_config(3, lines=((1, 2),)),
+    "conic-shape-required": conic_config(1, None),
+    "conic-shape-kind": conic_config(1, ConicShape("ellipse")),
+    "conic-shape-smooth": conic_config(1, ConicShape("smooth", line_a=0)),
+    "smooth-conic-collinearity": conic_config(3, ConicShape("smooth"), lines=((1, 2, 3),)),
+    "two-lines-components": conic_config(2, ConicShape("two_lines", line_a=0), lines=((1, 2),)),
+    "two-lines-distinct": conic_config(2, ConicShape("two_lines", 0, 0), lines=((1, 2),)),
+    "two-lines-cover": conic_config(4, ConicShape("two_lines", 0, 1), lines=((1, 2), (1, 3))),
+    "double-line-component": conic_config(1, ConicShape("double_line")),
+    "double-line-single": conic_config(2, ConicShape("double_line", 0, 0), lines=((1, 2),)),
+    "double-line-cover": conic_config(3, ConicShape("double_line", 0), lines=((1, 2),)),
+    "cubic-declarations": PointConfig("cubic_flex", (Point(1), Point(2)), lines=((1, 2),)),
+    "lambda-spec-required": uniform_config(None),
+    "lambda-kind": uniform_config(LambdaSpec("weird")),
+    "lambda-order": uniform_config(LambdaSpec("order")),
+    "lambda-member-rank": uniform_config(LambdaSpec("members", members=(ClassVector(3, (1, 1)),))),
+    "flex-chain": PointConfig("cubic_flex", (Point(1), Point(2))),
+}
+# every rule, with a minimal violating input reached through the layer that
+# checks it; each entry returns the rule it reached
+RULE_CASES = {
+    **{
+        rule: (lambda _, config=config: rule_of(validate, config))
+        for rule, config in VALIDATE_CASES.items()
+    },
+    "multiplicity-count": lambda _: rule_of(FatPointScheme, line_config(2), (1,)),
+    "multiplicity-nonnegative": lambda _: rule_of(
+        check_proximity, FatPointScheme(NEAR_PAIR, (-1, 0))
+    ),
+    "proximity-inequality": lambda _: rule_of(check_proximity, FatPointScheme(NEAR_PAIR, (1, 2))),
+    "undeclared-incidence": lambda _: rule_of(negative_curves, SMOOTH_CHAIN),
+    "config-parse": lambda tmp: cli_rule(tmp, "{oops"),
+    "config-schema": lambda tmp: cli_rule(tmp, {"curve_kind": "line"}),
+    "class-format": lambda tmp: cli_rule(tmp, ONE_POINT, "zariski", target_class="1"),
+    "seed-range": lambda tmp: cli_rule(tmp, ONE_POINT, seed=-1),
+    "degree-range": lambda tmp: cli_rule(tmp, ONE_POINT, "hilbert", max_degree=-1),
+    "prime-range": lambda tmp: cli_rule(tmp, ONE_POINT, "oracle-check", prime=4),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(RULE_CASES))
+def test_every_rule_is_reached(tmp_path, rule):
+    assert RULE_CASES[rule](tmp_path) == rule
+
+
+def test_rule_table_names_every_rule_in_the_source():
+    source = Path(fatpoints.__file__).parent
+    literals = {
+        rule
+        for path in source.glob("*.py")
+        for rule in re.findall(r'rule="([^"]+)"', path.read_text())
+    }
+    assert set(RULE_CASES) == literals
