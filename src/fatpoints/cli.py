@@ -24,7 +24,7 @@ from .configuration import (
     ValidationError,
     validate,
 )
-from .cohomology import h0_any, make_context, regularity_bound
+from .cohomology import make_context, regularity_bound, section_answers
 from .lattice import ClassVector
 from .negcurves import negative_curves
 from .oracle import DEFAULT_PRIME, check_prime, oracle_report
@@ -327,8 +327,7 @@ def _run_hilbert(spec: RunSpec) -> int:
     reg = regularity_bound(scheme)
     top = reg + 2 if spec.max_degree is None else spec.max_degree
     degrees = list(range(top + 1))
-    context = make_context(config)
-    values = [h0_any(scheme.to_class(d), context).h0 for d in degrees]
+    values = [answer.h0 for answer in section_answers(scheme, make_context(config), degrees)]
     if spec.output_format == "machine":
         _emit_machine({"degrees": degrees, "h": values})
         return 0

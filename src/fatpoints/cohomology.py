@@ -9,6 +9,7 @@ them, which the CLI surfaces in traces.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .configuration import FatPointScheme, LambdaSpec, PointConfig, check_proximity, validate
@@ -21,9 +22,11 @@ from .lattice import (
 from .zariski import (
     CaseContext,
     NotEffective,
+    SubtractionStep,
     ZariskiDecomposition,
     kernel_multiple_data,
     loop_candidates,
+    nef_tail_degree,
     uniform_cubic_rule,
     zariski_decompose,
 )
@@ -42,8 +45,9 @@ RATIONAL_NORMAL_SYZYGIES = SyzygyAnswer(0, "rational-normal-restriction")
 
 @dataclass(frozen=True)
 class CohomologyAnswer:
-    """h0/h1 of a class, the nef moving part used, rule notes, and the
-    minimal syzygy count of the moving part from the same case rule.
+    """h0/h1 of a class, the nef moving part used, rule notes, the minimal
+    syzygy count of the moving part from the same case rule, and the steps of
+    the decomposition behind it (none when the nef rule answered the class).
 
     h1 and syzygies are None when the class is not effective (nothing forces
     a value there).  Whenever h1 is reported, h0 - h1 equals the Euler
@@ -55,6 +59,7 @@ class CohomologyAnswer:
     moving_part: ClassVector
     notes: tuple[str, ...]
     syzygies: SyzygyAnswer | None
+    trace: tuple[SubtractionStep, ...] = ()
 
 
 def make_context(config: PointConfig) -> CaseContext:
@@ -192,24 +197,37 @@ def h0_with_decomposition(
         rule = uniform_cubic_rule(f, context)
         dec = rule.decomposition
         if isinstance(dec, NotEffective):
-            return CohomologyAnswer(0, None, zero_class(f.r), rule.notes, None), dec
+            return CohomologyAnswer(0, None, zero_class(f.r), rule.notes, None, dec.trace), dec
         h0, notes = chi(dec.moving) + rule.extra_sections, rule.notes
         syzygies = uniform_syzygies(dec.moving, context.config.lambda_spec)
     else:
         dec = zariski_decompose(f, context)
         if isinstance(dec, NotEffective):
             notes = (f"not effective: {dec.reason}",)
-            return CohomologyAnswer(0, None, zero_class(f.r), notes, None), dec
+            return CohomologyAnswer(0, None, zero_class(f.r), notes, None, dec.trace), dec
         base = h0_nef(dec.moving, context)
         h0, notes, syzygies = base.h0, base.notes, base.syzygies
     h1 = h0 - chi(f)
     if h1 < 0:
         raise RuntimeError(f"internal error: negative h1 for {f}")
-    return CohomologyAnswer(h0, h1, dec.moving, notes, syzygies), dec
+    return CohomologyAnswer(h0, h1, dec.moving, notes, syzygies, dec.trace), dec
 
 
 def h0_any(f: ClassVector, context: CaseContext) -> CohomologyAnswer:
     return h0_with_decomposition(f, context)[0]
+
+
+def section_answers(
+    scheme: FatPointScheme, context: CaseContext, degrees: Iterable[int]
+) -> list[CohomologyAnswer]:
+    """The section answers of the scheme's classes in ``degrees``, the one
+    per-degree path: each degree below ``nef_tail_degree`` is decomposed once,
+    through ``h0_any``, and from it on the nef rule answers with no trace."""
+    tail = nef_tail_degree(scheme, context)
+    return [
+        (h0_any if tail is None or d < tail else h0_nef)(scheme.to_class(d), context)
+        for d in degrees
+    ]
 
 
 __all__ = [
@@ -223,4 +241,5 @@ __all__ = [
     "h0_with_decomposition",
     "make_context",
     "regularity_bound",
+    "section_answers",
 ]

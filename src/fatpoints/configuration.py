@@ -251,6 +251,30 @@ def validate(config: PointConfig) -> None:
             )
 
     _validate_kind(config)
+    _validate_siblings(config)
+
+
+def _validate_siblings(config: PointConfig) -> None:
+    """A curve has one direction at a point of one branch, so a point has at
+    most one near point; the node of a ``two_lines`` conic has one per line."""
+    shape = config.conic_shape
+    side = set()
+    if shape is not None and shape.kind == "two_lines":
+        side = set(config.lines[shape.line_a])
+    first: dict[tuple[int, bool], int] = {}
+    for pt in config.points:
+        if pt.parent is None:
+            continue
+        # a line through a near point passes through its parent, so only the
+        # node's near points can lie on different lines
+        branch = (pt.parent, pt.id in side)
+        if branch in first:
+            _fail(
+                f"p{first[branch]} and p{pt.id} are near points of p{pt.parent} on one "
+                "branch of the curve, which has one direction there",
+                rule="sibling-near-points",
+            )
+        first[branch] = pt.id
 
 
 def _validate_kind(config: PointConfig) -> None:

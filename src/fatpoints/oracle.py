@@ -30,7 +30,7 @@ from .configuration import (
     ValidationError,
     validate,
 )
-from .cohomology import h0_any, make_context, regularity_bound
+from .cohomology import make_context, regularity_bound, section_answers
 from .syzygy import generator_counts
 
 DEFAULT_PRIME = 32003
@@ -504,7 +504,7 @@ def oracle_report(
     reduced = _eliminate(coords, scheme.multiplicities, top)
     h_values = tuple(reduced.hilbert(d) for d in degrees)
     nu_values = tuple(reduced.generators(d) for d in degrees)
-    answers = [h0_any(scheme.to_class(d), context) for d in degrees]
+    answers = section_answers(scheme, context, degrees)
     pipeline_h = tuple(answer.h0 for answer in answers)
     counts = generator_counts(scheme, answers, reg)
     pipeline_nu = tuple(count.value for count in counts)

@@ -19,9 +19,8 @@ from .configuration import (
     check_proximity,
     line_partition_data,
 )
-from .cohomology import h0_nef, h0_with_decomposition, make_context, regularity_bound
+from .cohomology import make_context, regularity_bound, section_answers
 from .syzygy import generator_counts
-from .zariski import nef_tail_degree
 
 
 def binom2(a: int) -> int:
@@ -106,32 +105,17 @@ def resolve(scheme: FatPointScheme) -> ResolutionReport:
     cutoff = reg + 2
     top = cutoff + 3
 
-    # One decomposition per degree below the nef tail feeds the sections,
-    # generators and traces.  From the tail degree on the class is nef, so
-    # its nef rule answers with an empty trace and no decomposition.
-    tail = nef_tail_degree(scheme, context)
-    if tail is None:
-        tail = top + 1
-    answers, steps = [], []
-    for d in range(top + 1):
-        f = scheme.to_class(d)
-        if d < tail:
-            answer, dec = h0_with_decomposition(f, context)
-            answers.append(answer)
-            steps.append(dec.trace)
-        else:
-            answers.append(h0_nef(f, context))
-            steps.append(())
+    answers = section_answers(scheme, context, range(top + 1))
     h_ext = [answer.h0 for answer in answers]
     counts = generator_counts(scheme, answers, reg)[: cutoff + 1]
     nu = [count.value for count in counts]
     traces = tuple(
         DegreeTrace(
             d,
-            tuple(map(str, trace)),
+            tuple(map(str, answer.trace)),
             answer.notes + (f"generator rule: {count.rule}",),
         )
-        for d, (answer, trace, count) in enumerate(zip(answers, steps, counts))
+        for d, (answer, count) in enumerate(zip(answers, counts))
     )
 
     alpha = next((d for d, v in enumerate(h_ext) if v > 0), None)

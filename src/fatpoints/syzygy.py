@@ -20,10 +20,10 @@ from .cohomology import (
     CohomologyAnswer,
     SyzygyAnswer,
     chi,
-    h0_any,
     h0_flex,
     make_context,
     regularity_bound,
+    section_answers,
     uniform_syzygies,
 )
 from .zariski import check_rank, check_uniform_class
@@ -60,9 +60,8 @@ def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) ->
     reg = regularity_bound(scheme)
     if d > reg:
         return SyzygyAnswer(0, RULE_BEYOND_REGULARITY)
-    up = h0_any(scheme.to_class(d + 1), context).h0
-    here = h0_any(scheme.to_class(d), context)
-    return _generator_count(d, scheme.multiplicities, here, up, reg)
+    here, up = section_answers(scheme, context, range(d, d + 2))
+    return _generator_count(d, scheme.multiplicities, here, up.h0, reg)
 
 
 def generator_counts(

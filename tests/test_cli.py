@@ -442,6 +442,36 @@ def test_satellite_point_on_flex_chain_exits_two(tmp_path):
     assert (code, err) == (2, "unsupported: satellite proximities\n")
 
 
+def sibling_document(curve, parents, mults, **extra):
+    points = [{"id": i} if p is None else {"id": i, "parent": p} for i, p in enumerate(parents, 1)]
+    return {"curve_kind": curve, "points": points, "multiplicities": mults, **extra}
+
+
+def test_sibling_near_points_exit_one(tmp_path):
+    """Two near points of one point on a smooth branch exit 1 on every
+    command and name the rule; one near point on each line at the node of a
+    two_lines conic agrees with the oracle."""
+    smooth = sibling_document(
+        "conic", [None, 1, None, 1], [4, 1, 5, 1], conic_shape={"kind": "smooth"}
+    )
+    line = sibling_document("line", [None, 1, 1], [2, 1, 1], lines=[[1, 2, 3]])
+    node = {"kind": "two_lines", "line_a": 0, "line_b": 1}
+    both_lines = sibling_document(
+        "conic", [None, 1, 1, None, None], [3, 1, 1, 2, 1],
+        lines=[[1, 2, 4], [1, 3, 5]], conic_shape=node,
+    )
+    path = tmp_path / "config.json"
+    for data, pair in ((smooth, "p2 and p4"), (line, "p2 and p3")):
+        path.write_text(json.dumps(data))
+        for command in COMMANDS:
+            code, out, err = run_captured(command_spec(command, path))
+            assert (code, out) == (1, ""), command
+            assert err.startswith(f"error [sibling-near-points]: {pair} are near points of p1")
+    path.write_text(json.dumps(both_lines))
+    code, out, _ = run_captured(RunSpec("oracle-check", str(path), output_format="machine"))
+    assert code == 0 and json.loads(out)["agree"]
+
+
 @st.composite
 def deep_chains(draw):
     """A schema-valid config of up to seven points on a line or a conic whose

@@ -208,7 +208,8 @@ def reference_proximity_rule(points, mults):
 
 def test_parent_tree_past_depth_one():
     """Over seeded trees up to three levels deep, check_proximity and the
-    exceptional components read each point's children and nothing else."""
+    exceptional components read each point's children and nothing else, and
+    validate refuses exactly the trees with two children of one point."""
     rng = random.Random(1517)
     depths = set()
     for _ in range(600):
@@ -216,7 +217,10 @@ def test_parent_tree_past_depth_one():
         points, depth = random_tree(rng, rng.randint(1, 8), 3)
         depths.add(depth)
         config = tree_config(kind, points)
-        validate(config)
+        if any(len(reference_children(points, pt.id)) > 1 for pt in points):
+            assert rule_of(validate, config) == "sibling-near-points"
+        else:
+            validate(config)
         mults = tuple(rng.randint(-1, 6) for _ in points)
         try:
             check_proximity(FatPointScheme(config, mults))
@@ -241,6 +245,30 @@ def test_parent_tree_past_depth_one():
             want.append((ClassVector(0, tuple(m)), label))
         assert got == want, points
     assert depths == {0, 1, 2, 3}
+
+
+def test_sibling_near_points_only_at_a_node():
+    """A point has at most one near point, except the node of a two_lines
+    conic, which may have one on each line."""
+
+    def two_lines(parents, lines):
+        points = tuple(Point(i, p) for i, p in enumerate(parents, 1))
+        return PointConfig("conic", points, lines=lines, conic_shape=ConicShape("two_lines", 0, 1))
+
+    validate(two_lines([None, 1, 1, None], ((1, 2, 4), (1, 3))))
+    validate(two_lines([None, 1, 2, 1, 4], ((1, 2, 3), (1, 4, 5))))
+    refused = [
+        two_lines([None, 1, 1, None], ((1, 2, 3), (1, 4))),
+        two_lines([None, None, 2, 2, None], ((1, 2, 3, 4), (1, 5))),
+        two_lines([None, 1, 1, 1], ((1, 2, 4), (1, 3))),
+        tree_config("smooth", (Point(1), Point(2, 1), Point(3, 1))),
+        tree_config("double_line", (Point(1), Point(2), Point(3, 2), Point(4, 2))),
+        PointConfig(
+            "cubic_uniform", (Point(1), Point(2, 1), Point(3, 1)), lambda_spec=LambdaSpec("trivial")
+        ),
+    ]
+    for config in refused:
+        assert rule_of(validate, config) == "sibling-near-points", config
 
 
 def test_check_proximity_accepts_golden():
@@ -490,6 +518,9 @@ VALIDATE_CASES = {
     "lambda-order": uniform_config(LambdaSpec("order")),
     "lambda-member-rank": uniform_config(LambdaSpec("members", members=(ClassVector(3, (1, 1)),))),
     "flex-chain": PointConfig("cubic_flex", (Point(1), Point(2))),
+    "sibling-near-points": PointConfig(
+        "line", (Point(1), Point(2, parent=1), Point(3, parent=1)), lines=((1, 2, 3),)
+    ),
 }
 # every rule, with a minimal violating input reached through the layer that
 # checks it; each entry returns the rule it reached

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -6,15 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from fatpoints import cohomology, lattice, syzygy, zariski
-from fatpoints.cli import parse_config
-from fatpoints.cohomology import h0_any, make_context
+from fatpoints import cli, cohomology, lattice, syzygy, zariski
+from fatpoints.cli import RunSpec, parse_config
+from fatpoints.cohomology import chi, h0_any, make_context
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
     LambdaSpec,
     Point,
     PointConfig,
+    UnsupportedRuleError,
     ValidationError,
 )
 from fatpoints.resolution import (
@@ -188,9 +190,11 @@ def decompositions(monkeypatch):
     return calls
 
 
-def test_resolve_decomposes_each_degree_once(decompositions):
+def test_resolve_decomposes_each_degree_once(decompositions, monkeypatch, capsys):
     """resolve decomposes each degree below the nef tail degree t once, and
-    no degree from t on: min(t, top + 1) decompositions in all."""
+    no degree from t on: min(t, top + 1) decompositions in all.  So do cli
+    hilbert (default top and a top past t), oracle_report, and s_dim over
+    its two degrees."""
     smooth = PointConfig(
         curve_kind="conic",
         points=tuple(Point(i) for i in range(1, 13)),
@@ -207,14 +211,37 @@ def test_resolve_decomposes_each_degree_once(decompositions):
         line_scheme((5, 3, 1)),
         FatPointScheme(flex, (3,) * 12),
     )
+
+    def taken():
+        """The degrees decomposed since the last call, in order."""
+        degrees = sorted(f.d for f in decompositions)
+        decompositions.clear()
+        return degrees
+
     for scheme in schemes:
+        kind = scheme.config.curve_kind
         tail = zariski.nef_tail_degree(scheme, make_context(scheme.config))
         decompositions.clear()
         report = resolve(scheme)
         top = report.cutoff + 3
-        assert 0 < tail <= top, scheme.config.curve_kind
-        assert len(decompositions) == min(tail, top + 1)
-        assert sorted(f.d for f in decompositions) == list(range(tail))
+        assert 0 < tail <= top, kind
+        assert taken() == list(range(min(tail, top + 1))), kind
+
+        monkeypatch.setattr(cli, "parse_config", lambda path: (scheme.config, scheme))
+        for max_degree in (None, tail + 5):
+            spec = RunSpec("hilbert", "scheme.json", output_format="machine", max_degree=max_degree)
+            assert cli.run(spec) == 0
+            top = json.loads(capsys.readouterr().out)["degrees"][-1]
+            assert taken() == list(range(min(tail, top + 1))), (kind, max_degree)
+
+        if kind != "cubic_flex":
+            top = oracle_report(scheme).degrees[-1]
+            assert taken() == list(range(min(tail, top + 1))), kind
+
+        for d in range(report.regularity + 2):
+            s_dim(scheme, d)
+            below = [e for e in (d, d + 1) if e < tail and d <= report.regularity]
+            assert taken() == below, (kind, d)
 
 
 def count_package_calls(monkeypatch, originals):
@@ -339,6 +366,33 @@ def test_no_sections_below_the_largest_multiplicity():
             assert step.endswith(f" [L({first})]"), (path.name, d, step)
         checked += 1
     assert checked > 20
+
+
+def test_generators_and_relations_end_at_the_regularity_index():
+    """Let tau be the least degree from which h1(d) = h(d) - chi(d) stays 0.
+    Generators of I_Z lie in degrees <= tau + 1 and relations in degrees
+    <= tau + 2, on every valid checked-in config; on most of them tau + 2
+    lies below the cutoff, so the report's table runs past its last shift."""
+    dirs = (
+        ROOT / "configs",
+        ROOT / "tests" / "golden" / "configs",
+        ROOT / "perfbench" / "corpus" / "configs",
+    )
+    checked = below_cutoff = 0
+    for path in sorted(p for d in dirs for p in d.glob("*.json")):
+        try:
+            _, scheme = parse_config(str(path))
+            report = resolve(scheme)
+        except (ValidationError, UnsupportedRuleError):
+            continue
+        h1 = [h - chi(scheme.to_class(d)) for d, h in enumerate(report.h)]
+        tau = max((d + 1 for d, v in enumerate(h1) if v), default=0)
+        assert not any(report.nu[tau + 2 :]), path.name
+        assert max(report.f1.shifts, default=0) <= tau + 2, path.name
+        checked += 1
+        below_cutoff += tau + 2 < report.cutoff
+    assert checked > 250
+    assert below_cutoff > 150
 
 
 def test_line_3000_resolves_like_closed_form():

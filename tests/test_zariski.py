@@ -203,7 +203,7 @@ def ray_schemes():
 def test_nef_tail_matches_scan_down():
     """The closed-form tail degree is the least degree from which is_nef
     holds up to the top resolve degree, and there the nef rule gives the
-    answer of the decomposition path."""
+    answer of the decomposition path, with an empty trace."""
     checked = in_tail = 0
     for scheme, ctx, top in ray_schemes():
         tail = nef_tail_degree(scheme, ctx)
@@ -214,7 +214,9 @@ def test_nef_tail_matches_scan_down():
         assert min(tail, top + 1) == reference, scheme
         for d in range(tail, top + 1):
             f = scheme.to_class(d)
-            assert h0_nef(f, ctx) == h0_any(f, ctx)
+            answer = h0_nef(f, ctx)
+            assert answer == h0_any(f, ctx)
+            assert answer.trace == ()
         checked += 1
         in_tail += max(top + 1 - tail, 0)
     assert checked > 200
