@@ -205,6 +205,7 @@ def _argv_list(paths: list[Path], rng: random.Random) -> list[list[str]]:
     ]
     for name in _BAD_FILES:
         cases.append(["resolve", str(GOLDEN / "configs" / f"{name}.json"), "--format", "machine"])
+    cases += [["oracle-check", str(path), "--format", "machine"] for path in paths]
     return cases
 
 
