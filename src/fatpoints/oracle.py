@@ -5,13 +5,19 @@ conditions become exact linear algebra mod p, and the Hilbert and generator
 counts come from ranks.  Nothing here shares code with the lattice pipeline,
 which is the point: agreement is evidence, not tautology.
 
+One sampler, _sample_on_conic, puts the points of every line and conic shape
+on two components through the origin; the uniform cubic takes proper points
+on y^2 = x^3 + x + 3.
+
 Conditions always come from coefficient extraction after an affine change of
 frame, never from derivatives: each condition row holds closed-form binomial
 Taylor coefficients.  A report builds the rows once, at its top degree, with
 columns ordered by degree, and reduces that matrix once; every lower degree's
-matrix is a leading block of columns, so the one reduction gives h(d) and the
-degree-d kernel for every d.  The field size p must be a prime with
-5 <= p < 2^31, so that the product of two residues is exact in int64.
+matrix is a leading block of columns, so the one reduction gives h(d) for
+every d, and the degree d-1 block of its kernel gives the generators in
+degree d.  A matrix of more than _WORK_BOUND entries is refused before any row
+is built.  The field size p must be a prime with 5 <= p < 2^31, so that the
+product of two residues is exact in int64.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .syzygy import generator_counts
 DEFAULT_PRIME = 32003
 _PRIME_LIMIT = 1 << 31
 _SAMPLING_ATTEMPTS = 500
+# matrix entries a conditions matrix may hold: 80 MB of int64
+_WORK_BOUND = 10**7
 
 
 def _is_prime(n: int) -> bool:
@@ -110,53 +118,34 @@ def _collinear(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int], p: in
     return det % p == 0
 
 
-def _sample_on_line(config: PointConfig, rng: random.Random, p: int) -> list[PointCoordinates]:
-    used: set[int] = set()
-    out: list[PointCoordinates] = []
-    for pt in config.points:
-        if pt.parent is None:
-            out.append(_proper(_distinct_param(rng, p, used, False), 0))
-        else:
-            out.append(_near(pt.parent, 1, 0))
-    return out
+def _sample_on_conic(config: PointConfig, rng: random.Random, p: int) -> list[PointCoordinates]:
+    """Coordinates on a line or conic, as points of two components.
 
-
-def _sample_on_parabola(config: PointConfig, rng: random.Random, p: int) -> list[PointCoordinates]:
-    used: set[int] = set()
-    params: dict[int, int] = {}
-    out: list[PointCoordinates] = []
-    for pt in config.points:
-        if pt.parent is None:
-            t = _distinct_param(rng, p, used, False)
-            params[pt.id] = t
-            out.append(_proper(t, t * t % p))
-        else:
-            t = params[pt.parent]
-            out.append(_near(pt.parent, 1, 2 * t % p))
-    return out
-
-
-def _sample_on_two_lines(config: PointConfig, rng: random.Random, p: int) -> list[PointCoordinates]:
+    Component A is y = 0, or y = x^2 on a smooth conic; component B is x = 0,
+    the second line of a ``two_lines`` shape, whose node is the origin.  Each
+    component draws distinct parameters, never 0 on two lines.  A near point
+    takes its component's direction at its parent: (1, 0) on a line, (1, 2t)
+    on the smooth conic at parameter t, and (0, 1) on component B.
+    """
     shape = config.conic_shape
-    on_a = set(config.lines[shape.line_a])
-    on_b = set(config.lines[shape.line_b])
-    shared = on_a & on_b
-    used_a: set[int] = set()
-    used_b: set[int] = set()
+    smooth = shape is not None and shape.kind == "smooth"
+    two_lines = shape is not None and shape.kind == "two_lines"
+    on_b = node = frozenset()
+    if two_lines:
+        line_a, line_b = set(config.lines[shape.line_a]), set(config.lines[shape.line_b])
+        on_b, node = line_b - line_a, line_a & line_b
+    used: tuple[set[int], set[int]] = (set(), set())
     out: list[PointCoordinates] = []
     for pt in config.points:
+        b = pt.id in on_b
         if pt.parent is not None:
-            # component membership fixes the direction, even over the node
-            if pt.id in on_a:
-                out.append(_near(pt.parent, 1, 0))
-            else:
-                out.append(_near(pt.parent, 0, 1))
-        elif pt.id in shared:
+            slope = 2 * out[pt.parent - 1].x % p if smooth else 0
+            out.append(_near(pt.parent, 0, 1) if b else _near(pt.parent, 1, slope))
+        elif pt.id in node:
             out.append(_proper(0, 0))
-        elif pt.id in on_a:
-            out.append(_proper(_distinct_param(rng, p, used_a, True), 0))
         else:
-            out.append(_proper(0, _distinct_param(rng, p, used_b, True)))
+            t = _distinct_param(rng, p, used[b], two_lines)
+            out.append(_proper(0, t) if b else _proper(t, t * t % p if smooth else 0))
     return out
 
 
@@ -229,16 +218,8 @@ def _sample(config: PointConfig, seed: int, p: int) -> CoordinateAssignment:
             )
     rng = random.Random(seed)
     kind = config.curve_kind
-    if kind == "line":
-        points = _sample_on_line(config, rng, p)
-    elif kind == "conic":
-        shape_kind = config.conic_shape.kind
-        if shape_kind == "smooth":
-            points = _sample_on_parabola(config, rng, p)
-        elif shape_kind == "two_lines":
-            points = _sample_on_two_lines(config, rng, p)
-        else:
-            points = _sample_on_line(config, rng, p)
+    if kind in ("line", "conic"):
+        points = _sample_on_conic(config, rng, p)
     elif kind == "cubic_uniform":
         points = _sample_on_cubic(config, rng, p)
     else:
@@ -320,10 +301,18 @@ def _rows_for_point(
 
 def _conditions_matrix(coords: CoordinateAssignment, mults, d: int) -> np.ndarray:
     """All point conditions on forms of degree d, one row each, columns in
-    the graded order of _graded_exponents."""
+    the graded order of _graded_exponents.  A point of multiplicity m
+    imposes m(m+1)/2 of them; past _WORK_BOUND entries nothing is built."""
     p = coords.prime
     if len(mults) != len(coords.points):
         raise ValueError("multiplicity count does not match the coordinate list")
+    nrows = sum(m * (m + 1) // 2 for m in mults if m > 0)
+    if nrows * _ncols(d) > _WORK_BOUND:
+        raise UnsupportedRuleError(
+            f"oracle work bound exceeded: {nrows} conditions on the {_ncols(d)} "
+            f"monomials of degree at most {d} make {nrows * _ncols(d)} matrix "
+            f"entries, above {_WORK_BOUND}"
+        )
     blocks = []
     for pid, (pt, m) in enumerate(zip(coords.points, mults), start=1):
         if m <= 0:
@@ -389,18 +378,6 @@ def _free_columns(pivots: list[int], start: int, stop: int) -> np.ndarray:
     return start + np.flatnonzero(free[start:])
 
 
-def _nullspace_modp(rref: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
-    """Kernel basis, one column per free column, read off the leading ncols
-    columns of a reduced echelon form.  Each basis vector is 1 at its own
-    free column and 0 at the other free columns."""
-    pivots = pivots[: bisect_left(pivots, ncols)]
-    free = _free_columns(pivots, 0, ncols)
-    basis = np.zeros((ncols, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    basis[pivots, :] = (-rref[: len(pivots)][:, free]) % p
-    return basis
-
-
 @dataclass(frozen=True)
 class _Eliminated:
     """The conditions matrix up to some degree, reduced once.  By the
@@ -422,21 +399,29 @@ class _Eliminated:
         degree d, K the degree d-1 kernel.  A kernel vector is fixed by its
         free coordinates, and K is the identity on the free columns of
         degree below d, which stay free in degree d; so the span's dimension
-        is dim K plus the rank of x*K and y*K on the new free columns.
+        is dim K plus the rank of x*K and y*K on the new free columns.  Only
+        K's degree d-1 block reaches them, with one row per free column c of
+        degree d-1: 1 at c, and minus the reduced matrix's column c at each
+        pivot of degree d-1.  Kernel vectors of lower free columns vanish in
+        degree d-1.
         """
         if d <= 0:
             return self.hilbert(0) if d == 0 else 0
-        low, high = _ncols(d - 1), _ncols(d)
+        start, low, high = _ncols(d - 2), _ncols(d - 1), _ncols(d)
         new_free = _free_columns(self.pivots, low, high) - low
         if new_free.size == 0:
             return 0
-        kernel = _nullspace_modp(self.rref, self.pivots, low, self.prime)
+        free = _free_columns(self.pivots, start, low)
+        first, last = bisect_left(self.pivots, start), bisect_left(self.pivots, low)
+        block = np.zeros((free.size, d), dtype=np.int64)
+        block[np.arange(free.size), free - start] = 1
+        pivots = np.array(self.pivots[first:last], dtype=np.intp)
+        block[:, pivots - start] = -self.rref[first:last, free].T % self.prime
         # x^a y^b of degree d-1 is column offset b among its degree; times x
         # it lands at offset b of degree d, times y at offset b + 1
-        top = kernel[_ncols(d - 2):].T
-        shifted = np.zeros((2 * top.shape[0], d + 1), dtype=np.int64)
-        shifted[: top.shape[0], :d] = top
-        shifted[top.shape[0]:, 1:] = top
+        shifted = np.zeros((2 * free.size, d + 1), dtype=np.int64)
+        shifted[: free.size, :d] = block
+        shifted[free.size:, 1:] = block
         return new_free.size - len(_row_reduce(shifted[:, new_free], self.prime)[1])
 
 

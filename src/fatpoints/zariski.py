@@ -179,7 +179,8 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
 
     Lines and conics subtract the pencils of lines through their proper
     points and their enumerated negative curves, flex chains the classes
-    dual to the nef basis, and the uniform cubic the cubic D alone.
+    dual to the nef basis, and the uniform cubic the cubic D alone; the
+    uniform cubic refuses near points, which its rules do not cover.
     """
     kind = config.curve_kind
     r = config.r
@@ -187,6 +188,12 @@ def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
     if kind == "cubic_flex":
         candidates = list(flex_candidate_fixed_classes(r))
     elif kind == "cubic_uniform":
+        near = [pt.id for pt in config.points if pt.parent is not None]
+        if near:
+            raise UnsupportedRuleError(
+                f"p{near[0]} is a near point on the uniform cubic, whose rules "
+                "cover proper points only"
+            )
         candidates = [NegativeCurve(-canonical_class(r), KIND_CUBIC, "D")]
     elif kind in ("line", "conic"):
         # The lines through a proper point form a pencil of square zero, so

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatpoints import cli
+from fatpoints import cli, oracle
 from fatpoints.cli import RunSpec, parse_config, run
 from fatpoints.configuration import ValidationError
 
@@ -470,6 +471,49 @@ def test_sibling_near_points_exit_one(tmp_path):
     path.write_text(json.dumps(both_lines))
     code, out, _ = run_captured(RunSpec("oracle-check", str(path), output_format="machine"))
     assert code == 0 and json.loads(out)["agree"]
+
+
+def test_near_point_on_uniform_cubic_exits_two(tmp_path):
+    """The uniform cubic's rules cover proper points only: a near point
+    there is refused by every command that answers for the scheme."""
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(sibling_document(
+        "cubic_uniform", [None, 1] + [None] * 7, [1] * 9, lambda_spec={"kind": "trivial"}
+    )))
+    refusal = (
+        "unsupported: p2 is a near point on the uniform cubic, whose rules cover "
+        "proper points only\n"
+    )
+    for command in ("resolve", "hilbert", "zariski", "oracle-check"):
+        spec = RunSpec(command, str(path), output_format="machine", target_class="3" + ",1" * 9)
+        assert run_captured(spec) == (2, "", refusal), command
+
+
+@pytest.mark.parametrize(
+    "data, entries",
+    [
+        (sibling_document("line", [None, None], [10**4, 2], lines=[[1, 2]]), 50005003 * 50035006),
+        (sibling_document("conic", [None] * 12, [30] * 12, conic_shape={"kind": "smooth"}), 5580 * 65341),
+    ],
+    ids=["line", "smooth"],
+)
+def test_oracle_work_bound_exits_two(tmp_path, monkeypatch, data, entries):
+    """oracle-check refuses a report past its work bound within a second,
+    before it builds a condition row: rows count m(m+1)/2 per point and
+    columns the monomials up to the top degree sum(m)."""
+
+    def no_rows(*args):
+        raise AssertionError("a condition row was built past the work bound")
+
+    monkeypatch.setattr(oracle, "_rows_for_point", no_rows)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run_captured(RunSpec("oracle-check", str(path), output_format="machine"))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("unsupported: oracle work bound exceeded: ")
+    assert f" make {entries} matrix entries, above 10000000\n" in err
 
 
 @st.composite

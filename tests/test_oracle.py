@@ -1,8 +1,11 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 import sympy
 
+from fatpoints import oracle
 from fatpoints.cohomology import regularity_bound
 from fatpoints.configuration import (
     ConicShape,
@@ -192,6 +195,27 @@ def test_near_point_over_node_follows_its_component():
     scheme = FatPointScheme(cfg, (2, 1, 1, 1))
     rep = oracle_report(scheme, seed=0)
     assert rep.all_agree
+
+
+def test_checked_in_reports_stay_inside_the_work_bound():
+    """Every checked-in config's oracle report, at its default top degree
+    sum(m), has under a tenth of the work bound's matrix entries."""
+    root = Path(__file__).resolve().parent.parent
+    dirs = (
+        root / "configs",
+        root / "tests" / "golden" / "configs",
+        root / "perfbench" / "corpus" / "configs",
+    )
+    largest = 0
+    for path in sorted(p for d in dirs for p in d.glob("*.json")):
+        try:
+            mults = json.loads(path.read_text())["multiplicities"]
+        except (ValueError, KeyError):
+            continue
+        top = sum(mults)
+        rows = sum(m * (m + 1) // 2 for m in mults if m > 0)
+        largest = max(largest, rows * (top + 1) * (top + 2) // 2)
+    assert 0 < largest < oracle._WORK_BOUND // 10
 
 
 def test_prime_bound_enforced():

@@ -11,13 +11,18 @@ import pytest
 from sympy import GF, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from fatpoints.configuration import ConicShape, FatPointScheme, Point, PointConfig
+from fatpoints.configuration import (
+    ConicShape,
+    FatPointScheme,
+    LambdaSpec,
+    Point,
+    PointConfig,
+)
 from fatpoints.oracle import (
     _conditions_matrix,
     _eliminate,
     _graded_exponents,
     _ncols,
-    _nullspace_modp,
     _row_reduce,
     _rows_for_point,
     sample_coordinates,
@@ -85,13 +90,6 @@ def test_row_reduce_matches_sympy(p, seed):
         got = [[int(v) for v in row] for row in rref.tolist()]
         want = [[int(v) % p for v in row] for row in ref_rref.to_Matrix().tolist()]
         assert got == want
-
-        basis = _nullspace_modp(rref, pivots, ncols, p)
-        assert basis.shape == (ncols, reference.nullspace().shape[0])
-        product = mat.astype(object).dot(basis.astype(object)) % p
-        assert not product.any()
-        free = [c for c in range(ncols) if c not in pivots]
-        assert (basis[free] == np.eye(len(free), dtype=np.int64)).all()
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -161,29 +159,76 @@ def generators_by_span(coords, mults, d, p):
     return h_up - sympy_matrix(span, p).rank()
 
 
+def conic(points, lines, shape, mults):
+    return FatPointScheme(PointConfig("conic", points, lines, shape), mults)
+
+
+# one scheme for each case of the sampler, with its top degree
+SPAN_SCHEMES = {
+    "line_near": (
+        FatPointScheme(
+            PointConfig("line", (Point(1), Point(2), Point(3, parent=1)), ((1, 2, 3),)),
+            (3, 2, 2),
+        ),
+        7,
+    ),
+    "smooth_near": (
+        conic(
+            (Point(1), Point(2), Point(3), Point(4, parent=1)),
+            (),
+            ConicShape("smooth"),
+            (3, 2, 2, 2),
+        ),
+        7,
+    ),
+    "two_lines": (
+        conic(
+            (Point(1), Point(2), Point(3), Point(4), Point(5), Point(6, parent=5)),
+            ((1, 2, 3, 4), (1, 5, 6)),
+            ConicShape("two_lines", line_a=0, line_b=1),
+            (3, 2, 2, 1, 3, 2),
+        ),
+        8,
+    ),
+    "two_lines_node_near": (
+        conic(
+            (Point(1), Point(2), Point(3), Point(4, parent=1), Point(5), Point(6, parent=1)),
+            ((1, 2, 3, 4), (1, 5, 6)),
+            ConicShape("two_lines", line_a=0, line_b=1),
+            (3, 2, 1, 1, 2, 1),
+        ),
+        8,
+    ),
+    "double_line": (
+        conic(
+            (Point(1), Point(2), Point(3), Point(4)),
+            ((1, 2, 3, 4),),
+            ConicShape("double_line", line_a=0),
+            (2, 2, 1, 1),
+        ),
+        6,
+    ),
+    "uniform_cubic": (
+        FatPointScheme(
+            PointConfig(
+                "cubic_uniform",
+                tuple(Point(i) for i in range(1, 11)),
+                lambda_spec=LambdaSpec("trivial"),
+            ),
+            (1,) * 10,
+        ),
+        10,
+    ),
+}
+
+
 def test_generators_match_full_span():
-    """The new-free-column shortcut gives the count of the full span."""
-    golden = FatPointScheme(
-        PointConfig(
-            curve_kind="conic",
-            points=(Point(1), Point(2), Point(3), Point(4), Point(5), Point(6, parent=5)),
-            lines=((1, 2, 3, 4), (1, 5, 6)),
-            conic_shape=ConicShape("two_lines", line_a=0, line_b=1),
-        ),
-        (3, 2, 2, 1, 3, 2),
-    )
-    smooth_near = FatPointScheme(
-        PointConfig(
-            curve_kind="conic",
-            points=(Point(1), Point(2), Point(3), Point(4, parent=1)),
-            conic_shape=ConicShape("smooth"),
-        ),
-        (3, 2, 2, 2),
-    )
-    for scheme, top in ((golden, 8), (smooth_near, 7)):
+    """The count from the degree d-1 kernel block equals the count from the
+    full span of x*K, y*K and K, with K the whole kernel taken by sympy."""
+    for name, (scheme, top) in SPAN_SCHEMES.items():
         coords = sample_coordinates(scheme.config, seed=1)
         p = coords.prime
         reduced = _eliminate(coords, scheme.multiplicities, top)
         for d in range(1, top + 1):
             want = generators_by_span(coords, scheme.multiplicities, d, p)
-            assert reduced.generators(d) == want, d
+            assert reduced.generators(d) == want, (name, d)
