@@ -9,7 +9,7 @@ them, which the CLI surfaces in traces.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .configuration import FatPointScheme, LambdaSpec, PointConfig, check_proximity, validate
@@ -79,6 +79,14 @@ def regularity_bound(scheme: FatPointScheme) -> int:
     """Degree bound past which the ideal sheaf twist has no first cohomology."""
     check_proximity(scheme)
     return sum(scheme.multiplicities) - 1
+
+
+def regularity_index(scheme: FatPointScheme, h0s: Sequence[int]) -> int:
+    """The least degree from which h1 = h0 - chi stays 0, where ``h0s[d]``
+    is the scheme's section count in degree d."""
+    return max(
+        (d + 1 for d, h0 in enumerate(h0s) if h0 != chi(scheme.to_class(d))), default=0
+    )
 
 
 def uniform_syzygies(h: ClassVector, spec: LambdaSpec) -> SyzygyAnswer:
@@ -241,5 +249,6 @@ __all__ = [
     "h0_with_decomposition",
     "make_context",
     "regularity_bound",
+    "regularity_index",
     "section_answers",
 ]

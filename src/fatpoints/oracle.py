@@ -11,13 +11,19 @@ on y^2 = x^3 + x + 3.
 
 Conditions always come from coefficient extraction after an affine change of
 frame, never from derivatives: each condition row holds closed-form binomial
-Taylor coefficients.  A report builds the rows once, at its top degree, with
-columns ordered by degree, and reduces that matrix once; every lower degree's
-matrix is a leading block of columns, so the one reduction gives h(d) for
-every d, and the degree d-1 block of its kernel gives the generators in
-degree d.  A matrix of more than _WORK_BOUND entries is refused before any row
-is built.  The field size p must be a prime with 5 <= p < 2^31, so that the
-product of two residues is exact in int64.
+Taylor coefficients.  A report builds the rows once, with columns ordered by
+degree, and reduces that matrix once; every lower degree's matrix is a
+leading block of columns, so the one reduction gives h(d) for every lower d,
+and the degree d-1 block of its kernel gives the generators in degree d.
+
+The report builds at min(top, tau + 1), tau the pipeline's regularity index.
+Once the oracle's own conditions are independent in some degree e, h(d) is
+the column count less the row count for every d >= e and no generator has
+degree above e + 1, so e + 1 <= tau + 1 answers the whole table.  Otherwise
+the matrix is built again at the top degree.  A matrix of more than
+_WORK_BOUND entries is refused before any row is built.  The field size p
+must be a prime with 5 <= p < 2^31, so that the product of two residues is
+exact in int64.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -36,7 +42,7 @@ from .configuration import (
     ValidationError,
     validate,
 )
-from .cohomology import make_context, regularity_bound, section_answers
+from .cohomology import make_context, regularity_bound, regularity_index, section_answers
 from .syzygy import generator_counts
 
 DEFAULT_PRIME = 32003
@@ -387,8 +393,25 @@ class _Eliminated:
     pivots: list[int]
     prime: int
 
+    @property
+    def full_rank_degree(self) -> int | None:
+        """The least degree whose leading column block holds every pivot, if
+        the conditions are independent there; None if they never are.
+
+        From this degree e on, h(d) is the column count less the row count,
+        and the ideal is (e + 1)-regular, so no generator has degree above
+        e + 1 (Eisenbud, The Geometry of Syzygies, ch. 4).
+        """
+        if len(self.pivots) < self.rref.shape[0]:
+            return None
+        if not self.pivots:
+            return 0
+        # column c has degree e where e(e+1)/2 <= c < (e+1)(e+2)/2
+        return (isqrt(8 * self.pivots[-1] + 1) - 1) // 2
+
     def hilbert(self, d: int) -> int:
-        """Dimension of the degree-d forms satisfying all conditions."""
+        """Dimension of the degree-d forms satisfying all conditions; past
+        the reduced degree, valid only from ``full_rank_degree`` on."""
         ncols = _ncols(d)
         return ncols - bisect_left(self.pivots, ncols)
 
@@ -486,13 +509,21 @@ def oracle_report(
         raise ValueError(f"prime {p} too small for degrees up to {top}")
     coords = _sample(scheme.config, seed, p)
     degrees = tuple(range(top + 1))
-    reduced = _eliminate(coords, scheme.multiplicities, top)
-    h_values = tuple(reduced.hilbert(d) for d in degrees)
-    nu_values = tuple(reduced.generators(d) for d in degrees)
     answers = section_answers(scheme, context, degrees)
     pipeline_h = tuple(answer.h0 for answer in answers)
     counts = generator_counts(scheme, answers, reg)
     pipeline_nu = tuple(count.value for count in counts)
+    # the pipeline only picks the degree to reduce at; every oracle value
+    # comes from the oracle's own rank, and past its full-rank degree + 1
+    # from the regularity theorem: h from the rank, and no generators
+    build = min(top, regularity_index(scheme, pipeline_h) + 1)
+    reduced = _eliminate(coords, scheme.multiplicities, build)
+    full = reduced.full_rank_degree
+    last = top if full is None else min(top, full + 1)
+    if last > build:
+        reduced = _eliminate(coords, scheme.multiplicities, top)
+    h_values = tuple(reduced.hilbert(d) for d in degrees)
+    nu_values = tuple(reduced.generators(d) if d <= last else 0 for d in degrees)
     return OracleReport(p, seed, degrees, h_values, nu_values, pipeline_h, pipeline_nu)
 
 

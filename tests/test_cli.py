@@ -493,14 +493,15 @@ def test_near_point_on_uniform_cubic_exits_two(tmp_path):
     "data, entries",
     [
         (sibling_document("line", [None, None], [10**4, 2], lines=[[1, 2]]), 50005003 * 50035006),
-        (sibling_document("conic", [None] * 12, [30] * 12, conic_shape={"kind": "smooth"}), 5580 * 65341),
+        (sibling_document("conic", [None] * 12, [30] * 12, conic_shape={"kind": "smooth"}), 5580 * 16653),
     ],
     ids=["line", "smooth"],
 )
 def test_oracle_work_bound_exits_two(tmp_path, monkeypatch, data, entries):
     """oracle-check refuses a report past its work bound within a second,
     before it builds a condition row: rows count m(m+1)/2 per point and
-    columns the monomials up to the top degree sum(m)."""
+    columns the monomials up to the build degree min(sum(m), tau + 1), tau
+    the regularity index (10^4 + 2 on the line, 181 on the smooth conic)."""
 
     def no_rows(*args):
         raise AssertionError("a condition row was built past the work bound")

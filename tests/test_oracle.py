@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 from fatpoints import oracle
+from fatpoints.cli import parse_config
 from fatpoints.cohomology import regularity_bound
 from fatpoints.configuration import (
     ConicShape,
@@ -197,17 +198,19 @@ def test_near_point_over_node_follows_its_component():
     assert rep.all_agree
 
 
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED_IN = sorted(
+    path
+    for d in ("configs", "tests/golden/configs", "perfbench/corpus/configs")
+    for path in (ROOT / d).glob("*.json")
+)
+
+
 def test_checked_in_reports_stay_inside_the_work_bound():
     """Every checked-in config's oracle report, at its default top degree
     sum(m), has under a tenth of the work bound's matrix entries."""
-    root = Path(__file__).resolve().parent.parent
-    dirs = (
-        root / "configs",
-        root / "tests" / "golden" / "configs",
-        root / "perfbench" / "corpus" / "configs",
-    )
     largest = 0
-    for path in sorted(p for d in dirs for p in d.glob("*.json")):
+    for path in CHECKED_IN:
         try:
             mults = json.loads(path.read_text())["multiplicities"]
         except (ValueError, KeyError):
@@ -216,6 +219,74 @@ def test_checked_in_reports_stay_inside_the_work_bound():
         rows = sum(m * (m + 1) // 2 for m in mults if m > 0)
         largest = max(largest, rows * (top + 1) * (top + 2) // 2)
     assert 0 < largest < oracle._WORK_BOUND // 10
+
+
+def test_report_matches_a_full_elimination_on_checked_in_configs():
+    """The report reduces at most to the regularity index + 1 and answers
+    later degrees from its full-rank degree; at every degree its h and nu
+    equal those of one reduction at the top degree, on every checked-in
+    config with sum(m) <= 30 that the oracle accepts."""
+    checked = 0
+    for path in CHECKED_IN:
+        try:
+            _, scheme = parse_config(str(path))
+            if sum(scheme.multiplicities) > 30:
+                continue
+            rep = oracle_report(scheme, seed=0)
+        except (ValidationError, UnsupportedRuleError):
+            continue
+        coords = sample_coordinates(scheme.config, seed=0)
+        full = oracle._eliminate(coords, scheme.multiplicities, rep.degrees[-1])
+        assert rep.h_values == tuple(full.hilbert(d) for d in rep.degrees), path.name
+        assert rep.nu_values == tuple(full.generators(d) for d in rep.degrees), path.name
+        checked += 1
+    assert checked > 150
+
+
+def smooth_conic(r, m):
+    cfg = PointConfig(
+        curve_kind="conic",
+        points=tuple(Point(i) for i in range(1, r + 1)),
+        conic_shape=ConicShape("smooth"),
+    )
+    return FatPointScheme(cfg, (m,) * r)
+
+
+def test_report_builds_once_at_the_regularity_index(monkeypatch):
+    """On twelve 5-fold points of a smooth conic tau = 30: the conditions
+    are built once, at degree 31, though the table runs to sum(m) = 60."""
+    built = []
+    conditions = oracle._conditions_matrix
+
+    def recorded(coords, mults, d):
+        built.append(d)
+        return conditions(coords, mults, d)
+
+    monkeypatch.setattr(oracle, "_conditions_matrix", recorded)
+    rep = oracle_report(smooth_conic(12, 5), seed=0)
+    assert rep.degrees == tuple(range(61)) and rep.all_agree
+    assert built == [31]
+
+
+@pytest.mark.parametrize("scheme", [LINE_321, GOLDEN_SCHEME, smooth_conic(6, 2)])
+def test_report_rebuilds_when_not_full_rank_at_the_build_degree(monkeypatch, scheme):
+    """With the pipeline's tau taken one lower, the first reduction reaches
+    full rank only in its own top degree, too late to answer the degree
+    above; the report reduces again at the top degree and answers as before."""
+    want = oracle_report(scheme, seed=0)
+    index = oracle.regularity_index
+    monkeypatch.setattr(oracle, "regularity_index", lambda *args: index(*args) - 1)
+    eliminated = []
+    eliminate = oracle._eliminate
+
+    def counted(coords, mults, d):
+        eliminated.append(d)
+        return eliminate(coords, mults, d)
+
+    monkeypatch.setattr(oracle, "_eliminate", counted)
+    assert oracle_report(scheme, seed=0) == want
+    top = want.degrees[-1]
+    assert len(eliminated) == 2 and eliminated[1] == top and eliminated[0] < top
 
 
 def test_prime_bound_enforced():

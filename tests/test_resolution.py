@@ -9,7 +9,7 @@ import pytest
 
 from fatpoints import cli, cohomology, lattice, syzygy, zariski
 from fatpoints.cli import RunSpec, parse_config
-from fatpoints.cohomology import chi, h0_any, make_context
+from fatpoints.cohomology import h0_any, make_context, regularity_index
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -369,8 +369,8 @@ def test_no_sections_below_the_largest_multiplicity():
 
 
 def test_generators_and_relations_end_at_the_regularity_index():
-    """Let tau be the least degree from which h1(d) = h(d) - chi(d) stays 0.
-    Generators of I_Z lie in degrees <= tau + 1 and relations in degrees
+    """Let tau be the regularity index, the least degree from which
+    h1(d) = h(d) - chi(d) stays 0.  Generators of I_Z lie in degrees <= tau + 1 and relations in degrees
     <= tau + 2, on every valid checked-in config; on most of them tau + 2
     lies below the cutoff, so the report's table runs past its last shift."""
     dirs = (
@@ -385,8 +385,7 @@ def test_generators_and_relations_end_at_the_regularity_index():
             report = resolve(scheme)
         except (ValidationError, UnsupportedRuleError):
             continue
-        h1 = [h - chi(scheme.to_class(d)) for d, h in enumerate(report.h)]
-        tau = max((d + 1 for d, v in enumerate(h1) if v), default=0)
+        tau = regularity_index(scheme, report.h)
         assert not any(report.nu[tau + 2 :]), path.name
         assert max(report.f1.shifts, default=0) <= tau + 2, path.name
         checked += 1
