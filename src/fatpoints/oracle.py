@@ -11,10 +11,15 @@ on y^2 = x^3 + x + 3.
 
 Conditions always come from coefficient extraction after an affine change of
 frame, never from derivatives: each condition row holds closed-form binomial
-Taylor coefficients.  A report builds the rows once, with columns ordered by
-degree, and reduces that matrix once; every lower degree's matrix is a
-leading block of columns, so the one reduction gives h(d) for every lower d,
-and the degree d-1 block of its kernel gives the generators in degree d.
+Taylor coefficients.  A matrix takes its column exponents and one Pascal
+table mod p once; a point then needs only the powers of its coordinates, and
+a proper point's rows are one product of its x and y Taylor parts.  A report
+builds the rows once, with columns ordered by degree, and reduces that matrix
+once, one pass per row.  Every lower degree's matrix is a leading block of
+columns, and the reduced echelon form is unique, so the one reduction gives
+h(d) for every lower d; the degree d-1 block of its kernel gives the
+generators in degree d, through the rank of a small matrix of plain ints.
+numpy holds the conditions matrix and its reduction; nothing else needs it.
 
 The report builds at min(top, tau + 1), tau the pipeline's regularity index.
 Once the oracle's own conditions are independent in some degree e, h(d) is
@@ -140,6 +145,14 @@ def _sample_on_conic(config: PointConfig, rng: random.Random, p: int) -> list[Po
     if two_lines:
         line_a, line_b = set(config.lines[shape.line_a]), set(config.lines[shape.line_b])
         on_b, node = line_b - line_a, line_a & line_b
+    drawn = [pt for pt in config.points if pt.parent is None and pt.id not in node]
+    on_a = sum(pt.id not in on_b for pt in drawn)
+    params = p - 1 if two_lines else p
+    if max(on_a, len(drawn) - on_a) > params:
+        raise UnsupportedRuleError(
+            f"a component holds {max(on_a, len(drawn) - on_a)} proper points but "
+            f"F_{p} gives it only {params} distinct parameters"
+        )
     used: tuple[set[int], set[int]] = (set(), set())
     out: list[PointCoordinates] = []
     for pt in config.points:
@@ -204,7 +217,10 @@ def _sample_on_cubic(config: PointConfig, rng: random.Random, p: int) -> list[Po
         )
         if not degenerate:
             return [_proper(x, y) for x, y in chosen]
-    raise RuntimeError("internal error: could not sample a nondegenerate cubic point set")
+    raise UnsupportedRuleError(
+        f"no {config.r} points in general position on the cubic over F_{p} "
+        f"were found in {_SAMPLING_ATTEMPTS} draws"
+    )
 
 
 def sample_coordinates(config: PointConfig, seed: int = 0, p: int = DEFAULT_PRIME) -> CoordinateAssignment:
@@ -246,19 +262,46 @@ def _graded_exponents(d: int) -> tuple[np.ndarray, np.ndarray]:
     x^a y^b with e = a + b sits in column e(e+1)/2 + b, so the columns of
     degree at most d are the first _ncols(d).
     """
-    b = np.concatenate([np.arange(e + 1) for e in range(d + 1)])
     e = np.repeat(np.arange(d + 1), np.arange(1, d + 2))
+    b = np.arange(e.size) - e * (e + 1) // 2
     return e - b, b
 
 
-def _binomial_powers(c: int, orders: int, d: int, p: int) -> np.ndarray:
-    """out[i, a] = C(a, i) * c^(a - i) mod p: the u^i coefficient of (c + u)^a."""
-    out = np.zeros((orders, d + 1), dtype=np.int64)
-    powers = [pow(c, e, p) for e in range(d + 1)]
-    for i in range(min(orders, d + 1)):
-        for a in range(i, d + 1):
-            out[i, a] = comb(a, i) % p * powers[a - i] % p
-    return out
+@dataclass(frozen=True)
+class _Monomials:
+    """The column monomials x^a y^b of one conditions matrix with the
+    binomial factors of their Taylor coefficients, built once per matrix.
+    For the exponent e = a, then e = b: row i holds C(e, i) mod p and the
+    power e - i, taken as 0 where i > e, since C(e, i) = 0 there."""
+
+    d: int
+    prime: int
+    binomials: tuple[np.ndarray, np.ndarray]
+    lags: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def build(cls, orders: int, d: int, p: int) -> "_Monomials":
+        a, b = _graded_exponents(d)
+        pascal = np.array(
+            [[comb(e, i) % p for e in range(d + 1)] for i in range(orders)], dtype=np.int64
+        )
+        lags = np.maximum(np.arange(d + 1) - np.arange(orders)[:, None], 0)
+        return cls(d, p, (pascal[:, a], pascal[:, b]), (lags[:, a], lags[:, b]))
+
+    def taylor(self, location: tuple[int, int], orders: int) -> list[np.ndarray]:
+        """For (x0, y0) = location: row i < orders holds, at each column
+        x^a y^b, the u^i coefficient of (x0 + u)^a, and then of (y0 + u)^b."""
+        p = self.prime
+        parts = []
+        for c, binomials, lags in zip(location, self.binomials, self.lags):
+            powers = [1]
+            for _ in range(self.d):
+                powers.append(powers[-1] * c % p)
+            parts.append(binomials[:orders] * np.array(powers)[lags[:orders]] % p)
+        return parts
+
+
+_IDENTITY = (1, 0, 0, 1)
 
 
 def _frame_coefficients(frame: tuple[int, int, int, int], k: int, p: int) -> list[list[int]]:
@@ -280,8 +323,7 @@ def _rows_for_point(
     location: tuple[int, int],
     frame: tuple[int, int, int, int],
     wanted: list[tuple[int, int]],
-    d: int,
-    p: int,
+    monomials: _Monomials,
 ) -> np.ndarray:
     """Row (sigma, tau): the s^sigma t^tau coefficient of each column monomial
     after substituting x = x0 + dx*s + ex*t, y = y0 + dy*s + ey*t.
@@ -289,12 +331,15 @@ def _rows_for_point(
     The substitution factors through u = x - x0, v = y - y0: the u^i v^j
     coefficient of x^a y^b is C(a, i) x0^(a-i) C(b, j) y0^(b-j), and the
     frame turns u^i v^j with i + j = k into a form of degree k in s and t.
+    In the identity frame that form is s^i t^j itself.
     """
-    a, b = _graded_exponents(d)
+    p = monomials.prime
     orders = max(sigma + tau for sigma, tau in wanted) + 1
-    x_part = _binomial_powers(location[0], orders, d, p)[:, a]
-    y_part = _binomial_powers(location[1], orders, d, p)[:, b]
-    rows = np.zeros((len(wanted), a.size), dtype=np.int64)
+    x_part, y_part = monomials.taylor(location, orders)
+    if frame == _IDENTITY:
+        sigmas, taus = zip(*wanted)
+        return x_part[list(sigmas)] * y_part[list(taus)] % p
+    rows = np.zeros((len(wanted), x_part.shape[1]), dtype=np.int64)
     frames = {k: _frame_coefficients(frame, k, p) for k in {s + t for s, t in wanted}}
     for rix, (sigma, tau) in enumerate(wanted):
         k = sigma + tau
@@ -319,13 +364,22 @@ def _conditions_matrix(coords: CoordinateAssignment, mults, d: int) -> np.ndarra
             f"monomials of degree at most {d} make {nrows * _ncols(d)} matrix "
             f"entries, above {_WORK_BOUND}"
         )
+    if nrows == 0:
+        return np.zeros((0, _ncols(d)), dtype=np.int64)
+    # a near point's rows reach order base + m - 1, base its parent's m
+    orders = max(
+        m if pt.parent is None else m + max(mults[pt.parent - 1], 0)
+        for pt, m in zip(coords.points, mults)
+        if m > 0
+    )
+    monomials = _Monomials.build(orders, d, p)
     blocks = []
     for pid, (pt, m) in enumerate(zip(coords.points, mults), start=1):
         if m <= 0:
             continue
         if pt.parent is None:
             wanted = [(s, t) for s in range(m) for t in range(m - s)]
-            blocks.append(_rows_for_point((pt.x, pt.y), (1, 0, 0, 1), wanted, d, p))
+            blocks.append(_rows_for_point((pt.x, pt.y), _IDENTITY, wanted, monomials))
         else:
             parent = coords.points[pt.parent - 1]
             if parent.parent is not None:
@@ -340,48 +394,59 @@ def _conditions_matrix(coords: CoordinateAssignment, mults, d: int) -> np.ndarra
             wanted = [
                 (k - j, j) for k in range(base, base + m) for j in range(base + m - k)
             ]
-            blocks.append(_rows_for_point((parent.x, parent.y), frame, wanted, d, p))
-    if not blocks:
-        return np.zeros((0, _ncols(d)), dtype=np.int64)
+            blocks.append(_rows_for_point((parent.x, parent.y), frame, wanted, monomials))
     return np.vstack(blocks)
 
 
 def _row_reduce(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p and its pivot columns.
 
-    Each pivot clears its column from every other row in one step.  Entries
-    stay below p < 2^31, so every product fits in int64.  Columns are taken
-    left to right and later pivot rows are zero on earlier columns, so for
-    every leading block of columns the leading rows of the result,
-    restricted to that block, are the block's own reduced echelon form.
+    One pass per row: the row's leading nonzero entry becomes a pivot, and
+    its column is cleared from every other row.  A later row is then zero on
+    every earlier pivot column, so its leading entry starts a new pivot, and
+    no row gains an entry left of its own leading one.  The pivot rows,
+    sorted by column, are the reduced echelon form, which is unique.
+    Entries stay below p < 2^31, so every product fits in int64.  By that
+    uniqueness, for every leading block of columns the leading rows of the
+    result, restricted to that block, are the block's own reduced echelon
+    form.
     """
     m = mat % p
-    nrows, ncols = m.shape
-    pivots: list[int] = []
-    for col in range(ncols):
-        rank = len(pivots)
-        if rank == nrows:
-            break
-        support = np.flatnonzero(m[rank:, col])
+    leads: list[tuple[int, int]] = []
+    for row in range(m.shape[0]):
+        support = m[row].nonzero()[0]
         if support.size == 0:
             continue
-        lead = rank + int(support[0])
-        if lead != rank:
-            m[[rank, lead]] = m[[lead, rank]]
-        m[rank, col:] = m[rank, col:] * pow(int(m[rank, col]), -1, p) % p
-        others = np.flatnonzero(m[:, col])
-        others = others[others != rank]
-        if others.size:
-            m[others, col:] = (m[others, col:] - np.outer(m[others, col], m[rank, col:])) % p
-        pivots.append(col)
-    return m, pivots
+        col = int(support[0])
+        pivot = m[row, col:] * pow(int(m[row, col]), -1, p) % p
+        # the pivot row is among the others too; it is set after
+        others = m[:, col].nonzero()[0]
+        m[others, col:] = (m[others, col:] - np.outer(m[others, col], pivot)) % p
+        m[row, col:] = pivot
+        leads.append((col, row))
+    leads.sort()
+    pivot_rows = [row for _, row in leads]
+    zero_rows = sorted(set(range(m.shape[0])).difference(pivot_rows))
+    return m[pivot_rows + zero_rows], [col for col, _ in leads]
 
 
-def _free_columns(pivots: list[int], start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 that hold no pivot; pivots ascend."""
-    free = np.ones(stop, dtype=bool)
-    free[pivots[: bisect_left(pivots, stop)]] = False
-    return start + np.flatnonzero(free[start:])
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank mod p of a small matrix of plain ints, by forward elimination."""
+    rows = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        lead = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if lead is None:
+            continue
+        rows[rank], rows[lead] = rows[lead], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        pivot = [v * inverse % p for v in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col]
+            if factor:
+                rows[i] = [(v - factor * w) % p for v, w in zip(rows[i], pivot)]
+        rank += 1
+    return rank
 
 
 @dataclass(frozen=True)
@@ -431,21 +496,28 @@ class _Eliminated:
         if d <= 0:
             return self.hilbert(0) if d == 0 else 0
         start, low, high = _ncols(d - 2), _ncols(d - 1), _ncols(d)
-        new_free = _free_columns(self.pivots, low, high) - low
-        if new_free.size == 0:
+        first, last, top = (bisect_left(self.pivots, c) for c in (start, low, high))
+        taken = {c - low for c in self.pivots[last:top]}
+        new_free = [c for c in range(d + 1) if c not in taken]
+        if not new_free:
             return 0
-        free = _free_columns(self.pivots, start, low)
-        first, last = bisect_left(self.pivots, start), bisect_left(self.pivots, low)
-        block = np.zeros((free.size, d), dtype=np.int64)
-        block[np.arange(free.size), free - start] = 1
-        pivots = np.array(self.pivots[first:last], dtype=np.intp)
-        block[:, pivots - start] = -self.rref[first:last, free].T % self.prime
-        # x^a y^b of degree d-1 is column offset b among its degree; times x
-        # it lands at offset b of degree d, times y at offset b + 1
-        shifted = np.zeros((2 * free.size, d + 1), dtype=np.int64)
-        shifted[: free.size, :d] = block
-        shifted[free.size:, 1:] = block
-        return new_free.size - len(_row_reduce(shifted[:, new_free], self.prime)[1])
+        # the pivot rows of degree d-1 on the degree d-1 columns, by offset
+        leads = [c - start for c in self.pivots[first:last]]
+        block = self.rref[first:last, start:low].tolist()
+        p = self.prime
+        shifted = []
+        for c in range(d):
+            if c in leads:
+                continue
+            vector = [0] * d
+            vector[c] = 1
+            for lead, row in zip(leads, block):
+                vector[lead] = -row[c] % p
+            # x^a y^b of degree d-1 is column offset b among its degree;
+            # times x it lands at offset b of degree d, times y at b + 1
+            for product in (vector + [0], [0] + vector):
+                shifted.append([product[col] for col in new_free])
+        return len(new_free) - _rank_mod(shifted, p)
 
 
 def _eliminate(coords: CoordinateAssignment, mults, d: int) -> _Eliminated:

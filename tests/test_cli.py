@@ -212,6 +212,23 @@ def test_unsupported_exit_two(capsys, tmp_path):
     assert "unsupported" in err
 
 
+@pytest.mark.parametrize("prime", ["31", "43"])
+def test_cubic_sampling_failure_exits_two(capsys, tmp_path, prime):
+    """Twelve simple points of the uniform cubic find no sample in general
+    position over F_31 or F_43; oracle-check says so and exits 2."""
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps({
+        "curve_kind": "cubic_uniform",
+        "points": [{"id": i} for i in range(1, 13)],
+        "lambda_spec": {"kind": "trivial"},
+        "multiplicities": [1] * 12,
+    }))
+    code, out, err = run_cli(capsys, ["oracle-check", str(path), "--prime", prime])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"unsupported: no 12 points in general position on the cubic over F_{prime} ")
+    assert "Traceback" not in err
+
+
 def test_bad_subcommand_exit_one(capsys):
     code, _, _ = run_cli(capsys, ["frobnicate", GOLDEN])
     assert code == 1

@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,64 @@ def test_near_point_over_node_follows_its_component():
     assert rep.all_agree
 
 
+def within_a_second(call):
+    """call(), failed with TimeoutError if it runs past one second."""
+
+    def expire(signum, frame):
+        raise TimeoutError("still running after a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+SEVEN_ON_A_LINE = FatPointScheme(
+    PointConfig("line", tuple(Point(i) for i in range(1, 8)), (tuple(range(1, 8)),)),
+    (1,) * 7,
+)
+
+
+def two_lines_config(on_a, on_b):
+    """A two_lines conic with its node, on_a more points on the first line
+    and on_b on the second."""
+    line_a = tuple(range(1, on_a + 2))
+    line_b = (1,) + tuple(range(on_a + 2, on_a + on_b + 2))
+    return PointConfig(
+        "conic",
+        tuple(Point(i) for i in range(1, on_a + on_b + 2)),
+        (line_a, line_b),
+        ConicShape("two_lines", line_a=0, line_b=1),
+    )
+
+
+def test_sampler_refuses_more_points_than_parameters():
+    """Seven points of a line need seven distinct parameters, and F_5 has
+    five: the report and the sampler refuse at once instead of drawing
+    forever.  On two_lines a component has only the p - 1 nonzero ones."""
+    with pytest.raises(UnsupportedRuleError, match="7 proper points .* only 5 "):
+        within_a_second(lambda: oracle_report(SEVEN_ON_A_LINE, seed=0, p=5, max_degree=1))
+    with pytest.raises(UnsupportedRuleError, match="7 proper points .* only 5 "):
+        within_a_second(lambda: sample_coordinates(SEVEN_ON_A_LINE.config, seed=0, p=5))
+    with pytest.raises(UnsupportedRuleError, match="5 proper points .* only 4 "):
+        within_a_second(lambda: sample_coordinates(two_lines_config(5, 1), seed=0, p=5))
+    with pytest.raises(UnsupportedRuleError, match="5 proper points .* only 4 "):
+        within_a_second(lambda: sample_coordinates(two_lines_config(2, 5), seed=0, p=5))
+
+
+def test_sampler_uses_every_parameter():
+    """A component may take as many points as it has parameters."""
+    five = PointConfig("line", tuple(Point(i) for i in range(1, 6)), ((1, 2, 3, 4, 5),))
+    coords = within_a_second(lambda: sample_coordinates(five, seed=0, p=5))
+    assert sorted(pt.x for pt in coords.points) == list(range(5))
+    coords = within_a_second(lambda: sample_coordinates(two_lines_config(4, 4), seed=0, p=5))
+    assert sorted(pt.x for pt in coords.points[1:5]) == [1, 2, 3, 4]
+    assert sorted(pt.y for pt in coords.points[5:]) == [1, 2, 3, 4]
+
+
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_IN = sorted(
     path
@@ -241,6 +300,20 @@ def test_report_matches_a_full_elimination_on_checked_in_configs():
         assert rep.nu_values == tuple(full.generators(d) for d in rep.degrees), path.name
         checked += 1
     assert checked > 150
+
+
+def test_benchmark_oracle_corpus_answers(tmp_path):
+    """Every entry of the benchmark's oracle corpus, at its own seed and top
+    degree, gives the pinned oracle h and nu."""
+    corpus = json.loads((ROOT / "perfbench/corpus/oracle.json").read_text())
+    path = tmp_path / "config.json"
+    for entry in corpus["entries"]:
+        path.write_text(json.dumps(entry["config"]))
+        _, scheme = parse_config(str(path))
+        rep = oracle_report(scheme, seed=entry["oracle_seed"], max_degree=entry["max_degree"])
+        assert list(rep.h_values) == entry["expected"]["h"], entry["id"]
+        assert list(rep.nu_values) == entry["expected"]["nu"], entry["id"]
+    assert len(corpus["entries"]) == 200
 
 
 def smooth_conic(r, m):

@@ -1,7 +1,8 @@
 """The oracle's linear algebra mod p against sympy, an independent path.
 
-sympy's DomainMatrix over GF(p) checks the whole-column elimination, and
-sympy's polynomial expansion checks the closed-form condition rows.
+sympy's DomainMatrix over GF(p) checks the row-by-row elimination and the
+plain-integer rank of the generator count, and sympy's polynomial
+expansion checks the closed-form condition rows.
 """
 
 import random
@@ -22,7 +23,9 @@ from fatpoints.oracle import (
     _conditions_matrix,
     _eliminate,
     _graded_exponents,
+    _Monomials,
     _ncols,
+    _rank_mod,
     _row_reduce,
     _rows_for_point,
     sample_coordinates,
@@ -65,6 +68,11 @@ def sample_matrices(p, seed):
     sparse[:, [2, 5]] = sparse[:, [1, 1]]
     sparse[:, 7] = 0
     mats.append(sparse)
+    # rows whose leading columns descend, so that no row leads where it sits
+    stairs = random_matrix(rng, p, "wide")
+    for row in range(stairs.shape[0]):
+        stairs[row, : 2 * (stairs.shape[0] - 1 - row)] = 0
+    mats.append(stairs)
     mats.append(np.zeros((0, 5), dtype=np.int64))
     mats.append(np.zeros((4, 6), dtype=np.int64))
     return mats
@@ -107,22 +115,35 @@ def test_leading_columns_reduce_alone(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_mod_matches_sympy(p, seed):
+    for mat in sample_matrices(p, seed):
+        assert _rank_mod(mat.tolist(), p) == sympy_matrix(mat, p).rank()
+
+
+@pytest.mark.parametrize("p", PRIMES)
 def test_condition_rows_match_expansion(p):
     """Row (sigma, tau) holds the s^sigma t^tau coefficient of every column
-    monomial under x = x0 + dx*s + ex*t, y = y0 + dy*s + ey*t."""
+    monomial under x = x0 + dx*s + ex*t, y = y0 + dy*s + ey*t, in a random
+    frame and in the identity frame (dx = 1, dy = 0); also in a degree
+    below the rows' order, where the rows of higher order are zero."""
     s, t = symbols("s t")
     rng = random.Random(p)
-    d = 5
-    a_exp, b_exp = _graded_exponents(d)
-    for _ in range(4):
-        x0, y0, dx, dy = (rng.randrange(p) for _ in range(4))
-        frame = (dx, dy, (-dy) % p, dx)
-        wanted = [(sigma, tau) for sigma in range(4) for tau in range(4 - sigma)]
-        rows = _rows_for_point((x0, y0), frame, wanted, d, p)
-        for col, (a, b) in enumerate(zip(a_exp.tolist(), b_exp.tolist())):
-            poly = Poly((x0 + dx * s - dy * t) ** a * (y0 + dy * s + dx * t) ** b, s, t)
-            for rix, (sigma, tau) in enumerate(wanted):
-                assert rows[rix, col] == poly.coeff_monomial(s**sigma * t**tau) % p
+    wanted = [(sigma, tau) for sigma in range(4) for tau in range(4 - sigma)]
+    for d, identity in ((5, False), (5, True), (1, False), (1, True)):
+        a_exp, b_exp = _graded_exponents(d)
+        monomials = _Monomials.build(4, d, p)
+        for _ in range(4):
+            x0, y0, dx, dy = (rng.randrange(p) for _ in range(4))
+            if identity:
+                dx, dy = 1, 0
+            frame = (dx, dy, (-dy) % p, dx)
+            rows = _rows_for_point((x0, y0), frame, wanted, monomials)
+            assert rows.shape == (len(wanted), _ncols(d))
+            for col, (a, b) in enumerate(zip(a_exp.tolist(), b_exp.tolist())):
+                poly = Poly((x0 + dx * s - dy * t) ** a * (y0 + dy * s + dx * t) ** b, s, t)
+                for rix, (sigma, tau) in enumerate(wanted):
+                    assert rows[rix, col] == poly.coeff_monomial(s**sigma * t**tau) % p
 
 
 def multiply_into(vector, d, shift, p):
