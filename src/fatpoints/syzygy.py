@@ -11,22 +11,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .configuration import FatPointScheme, UnsupportedRuleError
+from .configuration import FatPointScheme
 from .lattice import ClassVector
 from .cohomology import (
-    RATIONAL_NORMAL_SYZYGIES,
-    RULE_FLEX_COMPOSITE,
     CaseContext,
     CohomologyAnswer,
     SyzygyAnswer,
     chi,
-    h0_flex,
     make_context,
     regularity_bound,
     section_answers,
-    uniform_syzygies,
 )
-from .zariski import check_rank, check_uniform_class
 
 RULE_BEYOND_REGULARITY = "beyond-regularity"
 RULE_INITIAL_GENERATORS = "initial-generators"
@@ -34,22 +29,8 @@ RULE_INITIAL_GENERATORS = "initial-generators"
 
 def s_of_nef(h: ClassVector, context: CaseContext) -> SyzygyAnswer:
     """Syzygy count for a nef moving part, straight from the case rules."""
-    check_rank(h, context.config)
-    kind = context.config.curve_kind
-    if kind in ("line", "conic"):
-        return RATIONAL_NORMAL_SYZYGIES
-    if kind == "cubic_uniform":
-        check_uniform_class(h)
-        return uniform_syzygies(h, context.config.lambda_spec)
-    if kind == "cubic_flex":
-        answer = h0_flex(h).syzygies
-        if answer.rule == RULE_FLEX_COMPOSITE:
-            raise ValueError(
-                f"{h} is a cubic pencil class plus kernel multiples; its syzygy "
-                "count comes from the fixed-locus rule, not the nef table"
-            )
-        return answer
-    raise UnsupportedRuleError(f"no syzygy rules for curve kind {kind}")
+    context.check(h)
+    return context.syzygies(h)
 
 
 def s_dim(scheme: FatPointScheme, d: int, context: CaseContext | None = None) -> SyzygyAnswer:

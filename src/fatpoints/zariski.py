@@ -1,16 +1,15 @@
-"""Moving and fixed parts of divisor classes.
+"""Moving and fixed parts of divisor classes: the subtraction loop.
 
-A ``CaseContext`` holds a validated configuration and the candidate classes
-its decompositions subtract.  The conic, line, and flex cases run a
-subtraction loop against those candidates; the uniform-cubic case follows the
-closed-form rule in ``uniform_cubic_rule``, which decides effectivity, the
-fixed anticanonical multiple and the kernel's extra sections directly.  Each
-subtraction takes every forced copy of one class at once and records a
-certificate (the negative pairing that forced the first copy and the square
-by which each copy raises it), and an ample-degree potential bounds the
-iteration so a bad candidate list fails loudly instead of spinning.  The loop
-stops when no candidate meets the class negatively, and that same scan is the
-nef test ``is_nef``.
+A ``CaseContext`` holds a validated configuration, its candidate classes
+and the rules of its case, which ``cohomology.make_context`` picks.  The
+public entry points here check their input and ask the context.  Lines,
+conics and flex chains run the subtraction loop below; the uniform cubic
+answers in closed form.  Each subtraction takes every forced copy
+of one class at once and records a certificate (the negative pairing that
+forced the first copy and the square by which each copy raises it), and an
+ample-degree potential bounds the iteration so a bad candidate list fails
+loudly instead of spinning.  The loop stops when no candidate meets the class
+negatively, and that same scan is the nef test ``is_nef``.
 
 A scan pairs the class with every candidate in one sparse pass: the context
 keeps each candidate's degree and, for each point, the candidates with a
@@ -27,11 +26,10 @@ fixed classes are built once, from the copies taken per candidate.
 
 Lines and conics list the pencils L(i) of lines through their proper points
 first.  A pencil is nef of square zero, so a class of degree d >= 0 with a
-proper multiplicity m_i > d meets L(i) in d - m_i < 0 and is not effective:
-the loop's first step takes d + 1 copies of the first such pencil and the
-degree turns negative.  ``zariski_decompose`` answers that head of the degree
-ray from the multiplicities alone, with the same one-step trace and no
-pairing pass.
+proper multiplicity m_i > d meets L(i) in d - m_i < 0: the loop's first step
+takes d + 1 copies of the first such pencil and the degree turns negative.
+That head of the degree ray is answered from the multiplicities alone, with
+the same one-step trace and no pairing pass.
 """
 
 from __future__ import annotations
@@ -39,29 +37,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-from .configuration import FatPointScheme, LambdaSpec, PointConfig, UnsupportedRuleError
-from .lattice import (
-    ClassVector,
-    anticanonical_degree,
-    canonical_class,
-    exceptional_class,
-    intersect,
-    zero_class,
-)
-from .negcurves import (
-    KIND_CUBIC,
-    KIND_EXCEPTIONAL,
-    KIND_LINE,
-    NegativeCurve,
-    flex_candidate_fixed_classes,
-    line_class,
-    negative_curves,
-)
+from .configuration import FatPointScheme, PointConfig
+from .lattice import ClassVector, intersect, zero_class
+from .negcurves import KIND_CUBIC, NegativeCurve
 
 RULE_NEGATIVE_PAIRING = "negative-pairing"
 RULE_FORCED_CUBIC = "forced-anticanonical"
-RULE_UNIFORM_CUBIC = "uniform-fixed-cubic"
-RULE_UNIFORM_EXCEPTIONAL = "uniform-negative-multiplicity"
 
 REASON_DEGREE_NEGATIVE = "subtracting forced fixed classes drove the degree negative"
 
@@ -105,23 +86,24 @@ class ZariskiDecomposition:
 
 @dataclass(frozen=True)
 class CaseContext:
-    """A validated configuration with the candidate classes its loop subtracts.
+    """A validated configuration with the rules of its case.
 
-    Build it with ``cohomology.make_context``.  The uniform cubic's one
-    candidate is the cubic D = -K, whose copies its closed-form rule takes.
-    The scan kernel's data is derived once, here: each candidate's degree,
-    the ample witness of the potential check and each candidate's degree
-    against it, and for each point j the (candidate index, coefficient) pairs
-    with a nonzero coefficient at j.  ``pencils`` holds (candidate index,
-    point index) for each pencil e0 - e_j in the leading run of candidates:
-    lines and conics put one there per proper point, other cases none.
-    ``rows`` maps a candidate's index to its pairings with every candidate;
-    the loop fills it as it first subtracts each candidate, so it takes no
-    part in comparisons.
+    ``cohomology.make_context`` builds one subclass per case.  A case lists
+    its candidates (``find_candidates``); once a public entry point has
+    checked its class with ``check``, the case answers it: ``decompose``,
+    ``nef``, ``tail``, ``sections``, ``nef_sections`` and ``syzygies``.  The
+    methods here are the loop's.  Its scan data is derived once: each
+    candidate's degree, the ample witness of the potential check and each
+    candidate's degree against it, for each point j the (candidate index,
+    coefficient) pairs with a nonzero coefficient at j, and in ``pencils``
+    (candidate index, point index) for each pencil e0 - e_j in the leading
+    run of candidates.  ``rows`` maps a candidate's index to its pairings
+    with every candidate; the loop fills it as it first subtracts each
+    candidate, so it takes no part in comparisons.
     """
 
     config: PointConfig
-    candidates: tuple[NegativeCurve, ...]
+    candidates: tuple[NegativeCurve, ...] = field(init=False)
     degrees: tuple[int, ...] = field(init=False, repr=False)
     ample: ClassVector = field(init=False, repr=False)
     ample_degrees: tuple[int, ...] = field(init=False, repr=False)
@@ -130,12 +112,13 @@ class CaseContext:
     rows: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        set_field = object.__setattr__
+        set_field(self, "candidates", tuple(self.find_candidates()))
         columns: list[list[tuple[int, int]]] = [[] for _ in range(self.config.r)]
         for index, entry in enumerate(self.candidates):
             for j, coefficient in enumerate(entry.cls.m):
                 if coefficient:
                     columns[j].append((index, coefficient))
-        set_field = object.__setattr__
         set_field(self, "degrees", tuple(entry.cls.d for entry in self.candidates))
         set_field(self, "ample", _ample_witness(self.config.r))
         set_field(self, "columns", tuple(map(tuple, columns)))
@@ -156,59 +139,69 @@ class CaseContext:
                 )
         set_field(self, "ample_degrees", tuple(ample_degrees))
 
+    def check(self, f: ClassVector) -> None:
+        check_rank(f, self.config)
 
-@dataclass(frozen=True)
-class UniformCubicAnswer:
-    """The closed-form answer for a uniform class on a smooth cubic.
+    def nef(self, f: ClassVector) -> bool:
+        """The scan that ends the loop: no candidate meets ``f`` negatively."""
+        return f.d >= 0 and _first_negative(_pairings(f, self)) is None
 
-    When the class is effective it has chi(moving part) + extra_sections
-    sections; notes name the rule that decided it.
-    """
+    def tail(self, f0: ClassVector) -> int | None:
+        """A candidate C pairs with the degree-d class in b + d*C.d, where b
+        is its pairing with the degree-0 class ``f0``, so one pass of
+        pairings decides the whole ray: a candidate of positive degree is met
+        nonnegatively from ceil(-b / C.d) on, and one of degree 0 either
+        always or never."""
+        tail = 0
+        for b, c in zip(_pairings(f0, self), self.degrees):
+            if c > 0:
+                tail = max(tail, -(b // c))
+            elif b < 0 or c < 0:
+                return None
+        return tail
 
-    decomposition: ZariskiDecomposition | NotEffective
-    extra_sections: int
-    notes: tuple[str, ...]
+    def decompose(self, f: ClassVector) -> ZariskiDecomposition | NotEffective:
+        """The subtraction loop, after the head of the degree ray is answered
+        from the leading pencils."""
+        d = f.d
+        if d >= 0:
+            for index, j in self.pencils:
+                pairing = d - f.m[j]
+                if pairing < 0:
+                    step = _forced_step(d, self.candidates[index], pairing, 0)
+                    return NotEffective(REASON_DEGREE_NEGATIVE, (step,))
+
+        pairings = _pairings(f, self)
+        steps: list[SubtractionStep] = []
+        taken: dict[int, int] = {}  # candidate index -> copies subtracted
+        potential = intersect(f, self.ample)
+        budget = 2 * abs(potential) + 1000 * (f.r + 2)
+        while True:
+            if d < 0:
+                return NotEffective(REASON_DEGREE_NEGATIVE, tuple(steps))
+            index = _first_negative(pairings)
+            if index is None:
+                return _decomposition(f, d, taken, potential, steps, self)
+            entry = self.candidates[index]
+            row = _row(self, index)
+            step = _forced_step(d, entry, pairings[index], row[index])
+            copies = step.copies
+            pairings = [p - copies * c for p, c in zip(pairings, row)]
+            d -= copies * entry.cls.d
+            taken[index] = taken.get(index, 0) + copies
+            steps.append(step)
+            next_potential = potential - copies * self.ample_degrees[index]
+            if next_potential >= potential:
+                raise RuntimeError(
+                    "internal error: subtraction failed to lower the ample degree"
+                )
+            potential = next_potential
+            if len(steps) > budget:
+                raise RuntimeError("internal error: subtraction budget exceeded")
 
 
 def _ample_witness(r: int) -> ClassVector:
     return ClassVector(2**r, tuple(2 ** (r - i) for i in range(1, r + 1)))
-
-
-def loop_candidates(config: PointConfig) -> tuple[NegativeCurve, ...]:
-    """The classes the subtraction loop tries, in order, for a valid config.
-
-    Lines and conics subtract the pencils of lines through their proper
-    points and their enumerated negative curves, flex chains the classes
-    dual to the nef basis, and the uniform cubic the cubic D alone; the
-    uniform cubic refuses near points, which its rules do not cover.
-    """
-    kind = config.curve_kind
-    r = config.r
-    candidates = []
-    if kind == "cubic_flex":
-        candidates = list(flex_candidate_fixed_classes(r))
-    elif kind == "cubic_uniform":
-        near = [pt.id for pt in config.points if pt.parent is not None]
-        if near:
-            raise UnsupportedRuleError(
-                f"p{near[0]} is a near point on the uniform cubic, whose rules "
-                "cover proper points only"
-            )
-        candidates = [NegativeCurve(-canonical_class(r), KIND_CUBIC, "D")]
-    elif kind in ("line", "conic"):
-        # The lines through a proper point form a pencil of square zero, so
-        # the enumeration omits it.  The pencil is nef, so a class meeting it
-        # negatively is not effective (a fat point of multiplicity above the
-        # degree), and its copies drive the degree negative in one step.  It
-        # comes first: past it, a line and an exceptional class would trade
-        # single copies until the degree turned negative.
-        candidates = [
-            NegativeCurve(line_class((pt.id,), r), KIND_LINE, f"L({pt.id})")
-            for pt in config.points
-            if pt.parent is None
-        ]
-        candidates.extend(negative_curves(config))
-    return tuple(candidates)
 
 
 _INT_ONLY = frozenset((int,))
@@ -221,17 +214,6 @@ def check_rank(f: ClassVector, config: PointConfig) -> None:
         raise ValueError(f"class entries must be Python ints in a tuple, got {f!r}")
     if f.r != config.r:
         raise ValueError(f"class of rank {f.r} does not match {config.r} points")
-
-
-def check_uniform_class(f: ClassVector) -> None:
-    if f.r < 9:
-        raise UnsupportedRuleError(
-            "rules for points on a smooth cubic need at least nine points"
-        )
-    if len(set(f.m)) > 1:
-        raise UnsupportedRuleError(
-            f"only uniform multiplicities are supported on a smooth cubic, got {f.m}"
-        )
 
 
 def _pairings(f: ClassVector, context: CaseContext) -> list[int]:
@@ -265,42 +247,21 @@ def _row(context: CaseContext, index: int) -> list[int]:
 
 
 def is_nef(f: ClassVector, context: CaseContext) -> bool:
-    """Whether ``f`` pairs nonnegatively with every curve class of the case.
-
-    For lines, conics and flex chains this is the scan that ends the
-    subtraction loop.  On a flex chain the candidates pair with ``f`` to give
-    its nef-basis coordinates (and, past nine points, its pairing with -K).
-    """
-    config = context.config
-    check_rank(f, config)
-    if config.curve_kind == "cubic_uniform":
-        check_uniform_class(f)
-        m = f.m[0]
-        return m >= 0 and f.d >= 3 * m and anticanonical_degree(f) >= 0
-    return f.d >= 0 and _first_negative(_pairings(f, context)) is None
+    """Whether ``f`` pairs nonnegatively with every curve class of the case:
+    the scan that ends the loop, or the uniform cubic's closed form.  On a
+    flex chain the candidates pair with ``f`` to give its nef-basis
+    coordinates (and, past nine points, its pairing with -K)."""
+    context.check(f)
+    return context.nef(f)
 
 
 def nef_tail_degree(scheme: FatPointScheme, context: CaseContext) -> int | None:
     """The least degree t >= 0 with ``scheme.to_class(d)`` nef for every
-    d >= t, or None when no such degree exists or the case has no loop.
-
-    A candidate C pairs with the degree-d class in b + d*C.d, where b is its
-    pairing with the degree-0 class, so one pass of pairings decides the
-    whole ray: a candidate of positive degree is met nonnegatively from
-    ceil(-b / C.d) on, and one of degree 0 either always or never.  The
-    uniform cubic has no loop; its closed-form rule answers every degree.
-    """
+    d >= t, or None when no such degree exists or the case has no loop (the
+    uniform cubic, whose closed form answers every degree)."""
     f0 = scheme.to_class(0)
     check_rank(f0, context.config)
-    if context.config.curve_kind == "cubic_uniform":
-        return None
-    tail = 0
-    for b, c in zip(_pairings(f0, context), context.degrees):
-        if c > 0:
-            tail = max(tail, -(b // c))
-        elif b < 0 or c < 0:
-            return None
-    return tail
+    return context.tail(f0)
 
 
 def _forced_step(
@@ -328,52 +289,11 @@ def zariski_decompose(
     """Split ``f`` into a nef moving part plus the forced fixed classes.
 
     Returns ``NotEffective`` when the subtraction drives the degree negative,
-    and the decomposition as soon as no candidate meets the class negatively.
-    A class of degree d >= 0 met negatively by a leading pencil is answered
-    before the loop, with the loop's one step.  The loop holds the class's
-    pairings with the candidates, its degree and its ample potential, and
-    builds the moving and fixed classes at the end.
+    and the decomposition as soon as no candidate meets the class negatively;
+    the uniform cubic answers in closed form.
     """
-    config = context.config
-    if config.curve_kind == "cubic_uniform":
-        return uniform_cubic_rule(f, context).decomposition
-    check_rank(f, config)
-
-    d = f.d
-    if d >= 0:
-        for index, j in context.pencils:
-            pairing = d - f.m[j]
-            if pairing < 0:
-                step = _forced_step(d, context.candidates[index], pairing, 0)
-                return NotEffective(REASON_DEGREE_NEGATIVE, (step,))
-
-    pairings = _pairings(f, context)
-    steps: list[SubtractionStep] = []
-    taken: dict[int, int] = {}  # candidate index -> copies subtracted
-    potential = intersect(f, context.ample)
-    budget = 2 * abs(potential) + 1000 * (f.r + 2)
-    while True:
-        if d < 0:
-            return NotEffective(REASON_DEGREE_NEGATIVE, tuple(steps))
-        index = _first_negative(pairings)
-        if index is None:
-            return _decomposition(f, d, taken, potential, steps, context)
-        entry = context.candidates[index]
-        row = _row(context, index)
-        step = _forced_step(d, entry, pairings[index], row[index])
-        copies = step.copies
-        pairings = [p - copies * c for p, c in zip(pairings, row)]
-        d -= copies * entry.cls.d
-        taken[index] = taken.get(index, 0) + copies
-        steps.append(step)
-        next_potential = potential - copies * context.ample_degrees[index]
-        if next_potential >= potential:
-            raise RuntimeError(
-                "internal error: subtraction failed to lower the ample degree"
-            )
-        potential = next_potential
-        if len(steps) > budget:
-            raise RuntimeError("internal error: subtraction budget exceeded")
+    context.check(f)
+    return context.decompose(f)
 
 
 def _decomposition(
@@ -400,122 +320,12 @@ def _decomposition(
     return ZariskiDecomposition(moving, ClassVector(f.d - d, tuple(fixed)), tuple(steps))
 
 
-def uniform_cubic_rule(f: ClassVector, context: CaseContext) -> UniformCubicAnswer:
-    """The rule for t*e0 + m*(-K) at r >= 9 general points of a smooth cubic.
-
-    It fixes how many copies of the cubic split off, whether the moving part
-    lies in the restriction kernel, and the resulting extra sections.
-    """
-    config = context.config
-    check_rank(f, config)
-    check_uniform_class(f)
-    r = config.r
-    minus_k = context.candidates[0].cls
-    m = f.m[0]
-    steps: list[SubtractionStep] = []
-    current = f
-    if m < 0:
-        # Negative multiplicities just stack -m copies of each exceptional
-        # divisor on the fixed part.
-        for i in range(1, r + 1):
-            e_i = exceptional_class(i, r)
-            steps.append(
-                SubtractionStep(
-                    e_i,
-                    KIND_EXCEPTIONAL,
-                    f"E{i}",
-                    intersect(current, e_i),
-                    e_i.square(),
-                    RULE_UNIFORM_EXCEPTIONAL,
-                    -m,
-                )
-            )
-            current = current + m * e_i
-        m = 0
-    t = current.d - 3 * m
-    if t < 0:
-        return UniformCubicAnswer(
-            NotEffective("degree below three times the uniform multiplicity", tuple(steps)),
-            0,
-            ("not effective: degree below three times the multiplicity",),
-        )
-
-    u = anticanonical_degree(current)
-    extra = 0
-    if m == 0:
-        count, notes = 0, ("plane curves of the given degree",)
-    elif u > 0:
-        note = "fixed component free and regular" if r == 9 else "positive restriction degree"
-        count, notes = 0, (note,)
-    elif r == 9:
-        # u = 3t = 0: the class is m copies of the cubic
-        count, extra = kernel_multiple_data(m, config.lambda_spec, 9)
-        notes = (f"fixed part is {count} copies of the cubic", "kernel multiple count")
-    elif t == 0:
-        count, notes = m, ("multiple of the cubic: one section",)
-    else:
-        # the fewest copies of the cubic that bring u back to zero or above
-        count = (-u + (r - 9) - 1) // (r - 9)
-        notes = (f"fixed part is {count} copies of the cubic",)
-        if u + count * (r - 9) == 0:
-            if config.lambda_spec.contains(_less_cubics(current, count)):
-                extra = 1
-                notes += ("moving part lies in the restriction kernel: one extra section",)
-            else:
-                count += 1
-                notes = (f"fixed part is {count} copies of the cubic",)
-
-    if count:
-        steps.append(
-            SubtractionStep(
-                minus_k,
-                KIND_CUBIC,
-                "D",
-                u,
-                9 - r,  # D.D = K.K
-                RULE_UNIFORM_CUBIC,
-                count,
-            )
-        )
-        current = _less_cubics(current, count)
-    decomposition = ZariskiDecomposition(current, f - current, tuple(steps))
-    return UniformCubicAnswer(decomposition, extra, notes)
-
-
-def _less_cubics(f: ClassVector, count: int) -> ClassVector:
-    """f - count * D for a uniform class f, built directly: D = (3; 1^r)."""
-    return ClassVector(f.d - 3 * count, (f.m[0] - count,) * f.r)
-
-
-def kernel_multiple_data(m: int, spec: LambdaSpec, r: int) -> tuple[int, int]:
-    """Least shift s with (m - s) copies of the cubic in the kernel, and the
-    multiple count (m - s) divided by the least kernel order."""
-    if m < 0:
-        raise ValueError("kernel shift needs a nonnegative multiplicity")
-    for s in range(m + 1):
-        if spec.contains_multiple_of_k(m - s, r):
-            break
-    else:
-        raise RuntimeError("internal error: zero is always in the kernel")
-    c = m - s
-    if c == 0:
-        return s, 0
-    for order in range(1, c + 1):
-        if spec.contains_multiple_of_k(order, r):
-            return s, c // order
-    raise RuntimeError("internal error: kernel multiple without a least order")
-
-
 __all__ = [
     "CaseContext",
     "NotEffective",
     "SubtractionStep",
-    "UniformCubicAnswer",
     "ZariskiDecomposition",
     "is_nef",
-    "kernel_multiple_data",
-    "loop_candidates",
     "nef_tail_degree",
-    "uniform_cubic_rule",
     "zariski_decompose",
 ]

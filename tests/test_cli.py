@@ -138,6 +138,77 @@ def test_negcurves_command(capsys):
     assert all(c["square"] < 0 for c in payload["curves"])
 
 
+TABLE_OUTPUTS = [
+    (
+        # decomposed in two steps
+        ["zariski", GOLDEN, "--class", "7,3,2,2,1,3,2"],
+        "class: (7; 3, 2, 2, 1, 3, 2)\n"
+        "status: decomposed\n"
+        "moving part: (5; 1, 1, 1, 0, 2, 1)\n"
+        "fixed part: (2; 2, 1, 1, 1, 1, 1)\n"
+        "subtractions:\n"
+        "  1. (1; 1, 1, 1, 1, 0, 0) [L(1,2,3,4)] pairing -1 rule negative-pairing\n"
+        "  2. (1; 1, 0, 0, 0, 1, 1) [L(1,5,6)] pairing -1 rule negative-pairing\n",
+    ),
+    (
+        # not effective, copies shown as 3 x
+        ["zariski", GOLDEN, "--class", "2,3,0,0,0,0,0"],
+        "class: (2; 3, 0, 0, 0, 0, 0)\n"
+        "status: not effective\n"
+        "reason: subtracting forced fixed classes drove the degree negative\n"
+        "subtractions:\n"
+        "  1. 3 x (1; 1, 0, 0, 0, 0, 0) [L(1)] pairing -1 rule negative-pairing\n",
+    ),
+    (
+        # uniform exceptional steps
+        ["zariski", UNIFORM, "--class", "8,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1,-1"],
+        "class: (8; -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1)\n"
+        "status: decomposed\n"
+        "moving part: (8; 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)\n"
+        "fixed part: (0; -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1)\n"
+        "subtractions:\n"
+        "  1. (0; -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) [E1] pairing -1 rule uniform-negative-multiplicity\n"
+        "  2. (0; 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) [E2] pairing -1 rule uniform-negative-multiplicity\n"
+        "  3. (0; 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0) [E3] pairing -1 rule uniform-negative-multiplicity\n"
+        "  4. (0; 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0) [E4] pairing -1 rule uniform-negative-multiplicity\n"
+        "  5. (0; 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0) [E5] pairing -1 rule uniform-negative-multiplicity\n"
+        "  6. (0; 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0) [E6] pairing -1 rule uniform-negative-multiplicity\n"
+        "  7. (0; 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0) [E7] pairing -1 rule uniform-negative-multiplicity\n"
+        "  8. (0; 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0) [E8] pairing -1 rule uniform-negative-multiplicity\n"
+        "  9. (0; 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0, 0) [E9] pairing -1 rule uniform-negative-multiplicity\n"
+        "  10. (0; 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 0) [E10] pairing -1 rule uniform-negative-multiplicity\n"
+        "  11. (0; 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0) [E11] pairing -1 rule uniform-negative-multiplicity\n"
+        "  12. (0; 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1) [E12] pairing -1 rule uniform-negative-multiplicity\n",
+    ),
+    (
+        ["negcurves", GOLDEN],
+        "11 negative classes\n"
+        "  E1: (0; -1, 0, 0, 0, 0, 0) kind=exceptional_component square=-1\n"
+        "  E2: (0; 0, -1, 0, 0, 0, 0) kind=exceptional_component square=-1\n"
+        "  E3: (0; 0, 0, -1, 0, 0, 0) kind=exceptional_component square=-1\n"
+        "  E4: (0; 0, 0, 0, -1, 0, 0) kind=exceptional_component square=-1\n"
+        "  E5 - E6: (0; 0, 0, 0, 0, -1, 1) kind=exceptional_component square=-2\n"
+        "  E6: (0; 0, 0, 0, 0, 0, -1) kind=exceptional_component square=-1\n"
+        "  L(1,2,3,4): (1; 1, 1, 1, 1, 0, 0) kind=line square=-3\n"
+        "  L(1,5,6): (1; 1, 0, 0, 0, 1, 1) kind=line square=-2\n"
+        "  L(2,5): (1; 0, 1, 0, 0, 1, 0) kind=line square=-1\n"
+        "  L(3,5): (1; 0, 0, 1, 0, 1, 0) kind=line square=-1\n"
+        "  L(4,5): (1; 0, 0, 0, 1, 1, 0) kind=line square=-1\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", TABLE_OUTPUTS, ids=["decomposed", "not-effective", "uniform", "negcurves"]
+)
+def test_table_output(capsys, argv, expected):
+    """The table format of ``zariski`` and ``negcurves``, which the golden
+    corpus pins only in machine format."""
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert out == expected
+
+
 def test_oracle_check_agreement(capsys):
     code, out, _ = run_cli(capsys, ["oracle-check", LINE])
     assert code == 0

@@ -1,11 +1,17 @@
+import inspect
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import fatpoints
+from fatpoints import cohomology
 from fatpoints.cohomology import (
     chi,
     h0_any,
     h0_flex,
+    h0_nef,
     h0_with_decomposition,
     make_context,
     regularity_bound,
@@ -25,7 +31,8 @@ from fatpoints.lattice import (
     nef_basis_class,
     zero_class,
 )
-from fatpoints.zariski import NotEffective
+from fatpoints.syzygy import SyzygyAnswer, s_of_nef
+from fatpoints.zariski import NotEffective, is_nef
 
 GOLDEN_CONIC = PointConfig(
     curve_kind="conic",
@@ -36,13 +43,17 @@ GOLDEN_CONIC = PointConfig(
 GOLDEN_SCHEME = FatPointScheme(GOLDEN_CONIC, (3, 2, 2, 1, 3, 2))
 
 
-def uniform_h0(t, m, r, spec=LambdaSpec("trivial")):
-    """Sections of t*e0 + m*(-K) for r general points of a smooth cubic."""
-    cfg = PointConfig(
+def uniform_config(r, spec=LambdaSpec("trivial")):
+    return PointConfig(
         curve_kind="cubic_uniform",
         points=tuple(Point(i) for i in range(1, r + 1)),
         lambda_spec=spec,
     )
+
+
+def uniform_h0(t, m, r, spec=LambdaSpec("trivial")):
+    """Sections of t*e0 + m*(-K) for r general points of a smooth cubic."""
+    cfg = uniform_config(r, spec)
     return h0_with_decomposition(ClassVector(t + 3 * m, (m,) * r), make_context(cfg))[0]
 
 
@@ -203,3 +214,75 @@ def test_uniform_pipeline_full_answer():
     assert ans.h0 == 9
     assert ans.moving_part == ClassVector(5, (1,) * 12)
     assert ans.h0 - ans.h1 == chi(scheme.to_class(8))
+
+
+def test_uniform_nef_rule_is_the_closed_form():
+    """On the uniform cubic the nef rule is the closed form: a nef class
+    that is its own moving part gets h0_any's sections and s_of_nef's
+    syzygies from h0_nef, and a class that is not effective gets none."""
+    checked = Counter()
+    for r in (9, 10, 12):
+        ctx = make_context(uniform_config(r))
+        for m in range(4):
+            for d in range(3 * m, 3 * m + 8):
+                f = ClassVector(d, (m,) * r)
+                full = h0_any(f, ctx)
+                if not is_nef(f, ctx) or full.moving_part != f:
+                    continue
+                answer = h0_nef(f, ctx)
+                assert answer.h0 == full.h0, f
+                assert answer.syzygies == s_of_nef(f, ctx) == full.syzygies, f
+                assert answer.trace == ()
+                checked[r] += 1
+    assert min(checked.values()) > 10, checked
+    # (7; 2^10) meets -K once: one syzygy, not the line and conic rule's none
+    ctx10 = make_context(uniform_config(10))
+    assert h0_nef(ClassVector(7, (2,) * 10), ctx10).syzygies == SyzygyAnswer(
+        1, "uniform-degree-one-restriction"
+    )
+    answer = h0_nef(ClassVector(8, (3,) * 10), ctx10)
+    assert (answer.h0, answer.h1, answer.syzygies) == (0, None, None)
+
+
+def uniform_members(*classes):
+    return LambdaSpec("members", members=tuple(ClassVector(d, (m,) * 10) for d, m in classes))
+
+
+EXTRA_SECTION = (
+    "fixed part is 1 copies of the cubic",
+    "moving part lies in the restriction kernel: one extra section",
+)
+
+
+@pytest.mark.parametrize(
+    "members, h0, notes",
+    [
+        (((10, 3),), 7, EXTRA_SECTION),
+        # (10; 3^10) lies in this span only as the difference of the rows
+        (((20, 6), (30, 9)), 7, EXTRA_SECTION),
+        (((20, 6),), 6, ("fixed part is 2 copies of the cubic",)),
+    ],
+)
+def test_uniform_restriction_kernel_extra_section(members, h0, notes):
+    """(13; 4^10) meets -K in -1; one cubic brings the restriction degree to
+    zero, and the moving part (10; 3^10) gains a section when it lies in the
+    kernel, else a second cubic comes off."""
+    ctx = make_context(uniform_config(10, uniform_members(*members)))
+    answer = h0_any(ClassVector(13, (4,) * 10), ctx)
+    assert answer.h0 == h0
+    assert answer.notes == notes
+
+
+def test_only_make_context_reads_the_curve_kind():
+    """Each case rule lives in its case object: in the decomposition,
+    section and syzygy modules only make_context's table lookup reads the
+    curve kind."""
+    source = Path(fatpoints.__file__).parent
+    hits = [
+        (name, line.strip())
+        for name in ("zariski.py", "cohomology.py", "syzygy.py")
+        for line in (source / name).read_text().splitlines()
+        if "curve_kind" in line
+    ]
+    assert hits == [("cohomology.py", "return _CASES[config.curve_kind](config)")]
+    assert "return _CASES[config.curve_kind](config)" in inspect.getsource(cohomology.make_context)

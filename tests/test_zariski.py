@@ -7,7 +7,13 @@ import pytest
 
 from fatpoints import zariski
 from fatpoints.cli import parse_config
-from fatpoints.cohomology import h0_any, h0_nef, make_context, regularity_bound
+from fatpoints.cohomology import (
+    h0_any,
+    h0_nef,
+    kernel_multiple_data,
+    make_context,
+    regularity_bound,
+)
 from fatpoints.configuration import (
     ConicShape,
     FatPointScheme,
@@ -32,7 +38,6 @@ from fatpoints.zariski import (
     SubtractionStep,
     ZariskiDecomposition,
     is_nef,
-    kernel_multiple_data,
     nef_tail_degree,
     zariski_decompose,
 )
@@ -605,6 +610,20 @@ def test_uniform_not_effective():
     cfg = uniform_config(10)
     dec = zariski_decompose(ClassVector(2, (1,) * 10), make_context(cfg))
     assert isinstance(dec, NotEffective)
+
+
+def test_uniform_is_nef_values():
+    """The uniform cubic's closed-form nef test: m >= 0, d >= 3m and
+    -K.F >= 0; a class with unequal multiplicities is refused."""
+    ctx10 = make_context(uniform_config(10))
+    cases = {(3, 1): False, (4, 1): True, (0, 0): True, (2, 1): False, (5, -1): False}
+    cases[10, 3] = True
+    for (d, m), expected in cases.items():
+        assert is_nef(ClassVector(d, (m,) * 10), ctx10) is expected, (d, m)
+    ctx9 = make_context(uniform_config(9, LambdaSpec("order", order=2)))
+    assert is_nef(ClassVector(3, (1,) * 9), ctx9) is True
+    with pytest.raises(UnsupportedRuleError):
+        is_nef(ClassVector(4, (1,) * 9 + (0,)), ctx10)
 
 
 def test_flex_forced_cubic_past_nine():
